@@ -367,6 +367,11 @@ class MassMatrix:
 
 def query_mass_matrix(prog: QueryProgram, f: OracleTable, T: int,
                       input_word: BitWord) -> MassMatrix:
+    return _mass_matrix_and_final_state(prog, f, T, input_word)[0]
+
+
+def _mass_matrix_and_final_state(prog: QueryProgram, f: OracleTable, T: int,
+                                 input_word: BitWord) -> tuple[MassMatrix, StateVector]:
     t = prog.query_count
     if T < 1:
         raise ValueError("need T >= 1 orbit words")
@@ -388,7 +393,7 @@ def query_mass_matrix(prog: QueryProgram, f: OracleTable, T: int,
     limit = t / T if distinct else float(col_sums.sum()) / T
     if floor > limit + TOL:
         raise QqlabError(f"pigeonhole failed: min column {floor} > {limit}")
-    return MassMatrix(entries, row_sums, col_sums, words, t, T, distinct)
+    return MassMatrix(entries, row_sums, col_sums, words, t, T, distinct), trace.states[-1]
 
 
 def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
@@ -396,7 +401,7 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     """Mutate the oracle on the lightest orbit column's word and compare the
     final states; the gap is bounded by the per-round root masses and, via
     Cauchy-Schwarz, by the column mass."""
-    m = query_mass_matrix(prog, f, T, input_word)
+    m, final_f = _mass_matrix_and_final_state(prog, f, T, input_word)
     t = m.t
     j_star = int(np.argmin(m.col_sums))
     word = m.orbit_words[j_star]
@@ -406,7 +411,7 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     fresh = BitWord(f.width, int(rng.choice(others)))
     g = mutate(f, word, fresh)
 
-    lhs = l2_distance(run_final(prog, f, input_word), run_final(prog, g, input_word))
+    lhs = l2_distance(final_f, run_final(prog, g, input_word))
     per_round = 2.0 * float(np.sqrt(m.entries[:, j_star]).sum())
     cauchy = 2.0 * float(np.sqrt(t * m.col_sums[j_star]))
     rhs = min(per_round, cauchy)

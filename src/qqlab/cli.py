@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Exit status: 0 on success, 1 if any checked inequality row has slack below
--1e-9 (or a recorded identity fails), 2 on usage errors.
+-1e-9 (or a recorded identity fails), 2 on usage and input errors: bad
+flags, malformed oracle or config files, a bad QQLAB_QUBIT_CAP, or a
+layout over the qubit cap.
 
 Flag precedence: explicit flags > --config file > built-in defaults.
 """
@@ -12,11 +14,19 @@ import argparse
 import sys
 
 from . import __version__
-from .errors import ConfigError, QqlabError
+from .errors import (CapExceededError, InputError, LengthMismatchError, QqlabError,
+                     WidthMismatchError)
 from .harness import (CSV_SCHEMA, CSV_VERSION, FAMILIES, ExperimentConfig,
                       exact_census, monte_carlo)
 from .oracles import BitWord, iterate, load_oracle
 from .qsim import qubit_cap
+
+
+def _count(text: str) -> int:
+    k = int(text)
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {k}")
+    return k
 
 
 def _add_common(p, needs_T=False):
@@ -68,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iterate", help="apply an oracle file k times to a word")
     p.add_argument("--oracle", required=True, help="oracle text file")
     p.add_argument("--x", required=True, help="input word as bits, e.g. 010")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_count, required=True)
 
     sub.add_parser("info", help="print version, qubit cap and conventions")
     return ap
@@ -152,10 +162,10 @@ def cli_main(argv=None) -> int:
         report = monte_carlo(cfg)
         return _print_summary(report)
 
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    # width and length mismatches reach here only from the words and oracle
+    # files given on the command line
+    except (InputError, CapExceededError, WidthMismatchError, LengthMismatchError,
+            OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except QqlabError as e:

@@ -41,5 +41,10 @@ class TraceNotSucceededError(QqlabError):
     """A bound report was requested for an exhausted adversary trace."""
 
 
-class ConfigError(QqlabError):
+class InputError(QqlabError, ValueError):
+    """Input from outside the program is malformed: a file, a config field
+    or an environment variable."""
+
+
+class ConfigError(InputError):
     """An experiment configuration failed validation."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,19 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return (low, high)
 
 
+_INT = ((Integral,), "an integer")
+_NUMBER = ((Real,), "a number")
+_TEXT = ((str,), "a string")
+_FIELD_TYPES = {
+    "kind": _TEXT, "n": _INT, "tau_work": _INT,
+    "t": ((Integral, type(None)), "an integer or null"),
+    "T": _INT, "epsilon": _NUMBER, "trials": _INT, "seed": _INT,
+    "success_threshold": _NUMBER, "family": _TEXT,
+    "output_path": ((str, type(None)), "a string or null"),
+    "allow_large_census": ((bool,), "true or false"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     kind: str
@@ -61,6 +75,11 @@ class ExperimentConfig:
     allow_large_census: bool = False
 
     def validate(self) -> "ExperimentConfig":
+        for name, (types, wanted) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            # bool is an Integral, so a JSON true would otherwise pass as 1
+            if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+                raise ConfigError(f"{name} must be {wanted}, got {value!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.trials < 1:
@@ -69,6 +88,8 @@ class ExperimentConfig:
             raise ConfigError("success threshold must be in (0, 1]")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
+        if self.tau_work < 0 or self.seed < 0 or (self.t is not None and self.t < 0):
+            raise ConfigError("tau_work, seed and t must be >= 0")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.kind == "adversary":
@@ -87,7 +108,12 @@ class ExperimentConfig:
         """Load fields from a JSON file; `kind` fills in when the file has
         none.  Validation is the caller's job (flags may still override)."""
         with open(path) as fh:
-            obj = json.load(fh)
+            try:
+                obj = json.load(fh)
+            except json.JSONDecodeError as e:
+                raise ConfigError(f"{path}: not valid JSON: {e}") from None
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path}: config must be a JSON object")
         known = set(cls.__dataclass_fields__)
         bad = set(obj) - known
         if bad:

@@ -8,6 +8,12 @@ Gates are applied in place on a caller-owned buffer.  Permutation gates
 (X, CNOT, Toffoli, ...) are dispatched to strided slice rotations, which
 avoid the full-size index gathers that dominate at 20+ qubits; small dense
 gates use views for 1-2 targets and a gather/scatter for 3-4 targets.
+
+A state with one nonzero amplitude 1 stays one under permutation gates and
+the XOR query, so it can be carried as its flat index alone:
+`permute_index` and `query_index` step such an index exactly as
+`apply_permutation_inplace` and `apply_query` move the amplitude, with the
+same bit conventions and no array of length 2**nbits.
 """
 
 from __future__ import annotations
@@ -63,6 +69,22 @@ def _cycles(perm: np.ndarray) -> list[list[int]]:
 def _pattern(bits: tuple[int, ...], local: int) -> dict[int, int]:
     k = len(bits)
     return {bits[j]: (local >> (k - 1 - j)) & 1 for j in range(k)}
+
+
+def read_bits(index: int, bits: tuple[int, ...]) -> int:
+    """The integer read MSB-first off the given bits of a flat index."""
+    value = 0
+    for b in bits:
+        value = (value << 1) | ((index >> b) & 1)
+    return value
+
+
+def permute_index(index: int, bits: tuple[int, ...], perm: np.ndarray) -> int:
+    """Where apply_permutation_inplace moves the amplitude at index."""
+    new = int(perm[read_bits(index, bits)])
+    for b, v in _pattern(bits, new).items():
+        index = (index & ~(1 << b)) | (v << b)
+    return index
 
 
 def apply_permutation_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
@@ -155,6 +177,11 @@ def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.n
     idx = _flat_index(nbits)
     pattern = (fvals.astype(np.int64) << n)[idx & ((1 << n) - 1)]
     return amps[idx ^ pattern]
+
+
+def query_index(index: int, n: int, fvals: np.ndarray) -> int:
+    """Where apply_query moves the amplitude at index."""
+    return index ^ (int(fvals[index & ((1 << n) - 1)]) << n)
 
 
 def address_masses(amps: np.ndarray, n: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import LengthMismatchError, WidthMismatchError
+from .errors import InputError, LengthMismatchError, WidthMismatchError
 from .rng import as_generator
 
 
@@ -206,18 +206,20 @@ def oracle_to_text(f: OracleTable) -> str:
 
 def oracle_from_text(text: str) -> OracleTable:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
-        raise ValueError("oracle file must start with 'n=<width>'")
-    n = int(lines[0][2:])
+    header = lines[0][2:].strip() if lines and lines[0].startswith("n=") else ""
+    if not header.isdigit() or int(header) < 1:
+        raise InputError("oracle file must start with 'n=<width>', width >= 1")
+    n = int(header)
     if len(lines) != 1 + (1 << n):
         raise LengthMismatchError(f"expected {1 << n} table lines, got {len(lines) - 1}")
     values = np.zeros(1 << n, dtype=np.int64)
     for i, ln in enumerate(lines[1:]):
-        xs, ys = ln.split()
-        if len(xs) != n or len(ys) != n:
-            raise WidthMismatchError(f"line {i + 2}: expected width-{n} words")
+        words = ln.split()
+        if len(words) != 2 or any(len(s) != n or s.strip("01") for s in words):
+            raise InputError(f"line {i + 2}: expected two width-{n} bit words, got {ln!r}")
+        xs, ys = words
         if int(xs, 2) != i:
-            raise ValueError(f"line {i + 2}: rows must be in ascending x order")
+            raise InputError(f"line {i + 2}: rows must be in ascending x order")
         values[i] = int(ys, 2)
     return OracleTable(n, values)
 

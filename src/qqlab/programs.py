@@ -8,6 +8,15 @@ chi_i is exactly the state the (i+1)-th query acts on.
 Program input convention: the input word is written on the first n
 working qubits, every other qubit starts at 0.  Output convention: the
 result is read verbatim off the program's output region.
+
+Programs whose every gate is a 0/1 permutation (the classical-emulation,
+truncated-emulation and concentrated families) start from a basic state
+and stay on one basic state with amplitude exactly 1, since the XOR query
+is a permutation too.  `run`, `run_final` and `success_probability` detect
+this and step only that state's flat index; the result is exact and
+bit-identical to the dense path.  Only the states a caller gets back are
+built as arrays, and `success_probability` builds none.  Every other
+program runs on the dense 2**N state vector.
 """
 
 from __future__ import annotations
@@ -20,8 +29,7 @@ import numpy as np
 from . import kernels
 from .errors import LayoutMismatchError, TargetOutOfRangeError, WidthMismatchError
 from .oracles import BitWord, OracleTable
-from .qsim import (BasisAssignment, LocalUnitary, QubitLayout, StateVector,
-                   basis_state, cnot_gate, random_gate)
+from .qsim import LocalUnitary, QubitLayout, StateVector, cnot_gate, random_gate
 from .rng import as_generator
 
 
@@ -65,24 +73,63 @@ class Trace:
     query_count: int
 
 
-def initial_state(layout: QubitLayout, input_word: BitWord) -> StateVector:
+def _initial_index(layout: QubitLayout, input_word: BitWord) -> int:
     n = layout.query_width
     if input_word.width != n:
         raise WidthMismatchError(f"input width {input_word.width} != query width {n}")
     if input_word.value != 0 and layout.work_count < n:
         raise LayoutMismatchError(
             f"nonzero input needs {n} working qubits, layout has {layout.work_count}")
-    bits = [0] * layout.total
-    for j, b in enumerate(input_word.bits):
+    index = 0
+    for p, b in enumerate(input_word.bits):
         if b:
-            bits[j] = 1
-    return basis_state(layout, BasisAssignment(tuple(bits)))
+            index |= 1 << layout.index_bit(p)
+    return index
+
+
+def _basis_vector(layout: QubitLayout, index: int) -> StateVector:
+    amps = np.zeros(layout.dim, dtype=np.complex128)
+    amps[index] = 1.0
+    return StateVector(layout, amps)
+
+
+def initial_state(layout: QubitLayout, input_word: BitWord) -> StateVector:
+    return _basis_vector(layout, _initial_index(layout, input_word))
+
+
+def _basis_indices(prog: QueryProgram, f: OracleTable,
+                   input_word: BitWord) -> list[int] | None:
+    """Flat indices of the basic states chi_0..chi_t of a permutation-only
+    program; None at the first gate that is not a 0/1 permutation."""
+    layout = prog.layout
+    if f.width != layout.query_width:
+        raise WidthMismatchError(
+            f"oracle width {f.width} != query width {layout.query_width}")
+    index = _initial_index(layout, input_word)
+    indices = []
+    for i, gates in enumerate((prog.prelude, *prog.rounds)):
+        if i:
+            index = kernels.query_index(index, layout.query_width, f.values)
+        for g in gates:
+            perm = kernels.as_permutation(g.matrix)
+            if perm is None:
+                return None
+            index = kernels.permute_index(index, layout.index_bits(g.targets), perm)
+        indices.append(index)
+    return indices
 
 
 def _execute(prog: QueryProgram, f: OracleTable, input_word: BitWord, keep_states: bool):
-    if f.width != prog.layout.query_width:
-        raise WidthMismatchError(
-            f"oracle width {f.width} != query width {prog.layout.query_width}")
+    indices = _basis_indices(prog, f, input_word)
+    if indices is None:
+        return _execute_dense(prog, f, input_word, keep_states)
+    if keep_states:
+        return [_basis_vector(prog.layout, i) for i in indices]
+    return _basis_vector(prog.layout, indices[-1])
+
+
+def _execute_dense(prog: QueryProgram, f: OracleTable, input_word: BitWord,
+                   keep_states: bool):
     layout = prog.layout
     total = layout.total
     buf = initial_state(layout, input_word).amplitudes.copy()
@@ -124,7 +171,11 @@ def success_probability(prog: QueryProgram, f: OracleTable, input_word: BitWord,
     if target.width != len(prog.output_region):
         raise WidthMismatchError(
             f"target width {target.width} != output region size {len(prog.output_region)}")
-    final = run_final(prog, f, input_word)
+    indices = _basis_indices(prog, f, input_word)
+    if indices is not None:
+        bits = prog.layout.index_bits(prog.output_region)
+        return float(kernels.read_bits(indices[-1], bits) == target.value)
+    final = _execute_dense(prog, f, input_word, keep_states=False)
     return float(output_distribution(prog, final)[target.value])
 
 

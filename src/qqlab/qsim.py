@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .errors import (CapExceededError, DuplicateTargetError, LayoutMismatchError,
-                     NonUnitaryError, NotNormalizedError, TargetOutOfRangeError,
-                     WidthMismatchError)
+from .errors import (CapExceededError, DuplicateTargetError, InputError,
+                     LayoutMismatchError, NonUnitaryError, NotNormalizedError,
+                     TargetOutOfRangeError, WidthMismatchError)
 from .oracles import BitWord, OracleTable
 from .rng import as_generator
 
@@ -38,7 +38,13 @@ MAX_GATE_TARGETS = 4
 
 
 def qubit_cap() -> int:
-    return int(os.environ.get("QQLAB_QUBIT_CAP", DEFAULT_QUBIT_CAP))
+    raw = os.environ.get("QQLAB_QUBIT_CAP")
+    if raw is None:
+        return DEFAULT_QUBIT_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"QQLAB_QUBIT_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

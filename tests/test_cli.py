@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import qqlab
 from qqlab.cli import cli_main
 from qqlab.oracles import BitWord, make_oracle, save_oracle
 
@@ -36,10 +41,55 @@ class TestUsageErrors:
     def test_missing_required_flag(self):
         assert cli_main(["iterate", "--x", "0", "--k", "1"]) == 2
 
+    def test_negative_iteration_count(self, tmp_path):
+        save_oracle(make_oracle(1, [w("1"), w("0")]), tmp_path / "f.txt")
+        assert cli_main(["iterate", "--oracle", str(tmp_path / "f.txt"),
+                         "--x", "0", "--k", "-1"]) == 2
+
     def test_bad_config_value(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"kind": "lemma1", "trials": 0}))
         assert cli_main(["lemma1", "--config", str(path)]) == 2
+
+
+class TestInputErrors:
+    """Malformed input exits 2 with a one-line message, never 1 or a traceback."""
+
+    def assert_input_error(self, argv, capsys):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    def test_oracle_file_with_non_bit_token(self, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_text("n=2\n00 01\n01 0x\n10 11\n11 00\n")
+        self.assert_input_error(["iterate", "--oracle", str(path), "--x", "00", "--k", "1"],
+                                capsys)
+
+    def test_config_field_of_wrong_type(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "lemma1", "n": "3"}))
+        self.assert_input_error(["lemma1", "--config", str(path), "--trials", "1"], capsys)
+
+    def test_non_integer_qubit_cap(self, monkeypatch, capsys):
+        monkeypatch.setenv("QQLAB_QUBIT_CAP", "abc")
+        self.assert_input_error(["lemma1", "--n", "2", "--trials", "1"], capsys)
+
+    def test_layout_over_the_cap(self, monkeypatch, capsys):
+        monkeypatch.delenv("QQLAB_QUBIT_CAP", raising=False)
+        self.assert_input_error(["montecarlo", "--family", "classical-emulation",
+                                 "--n", "6", "--T", "4", "--trials", "1"], capsys)
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(qqlab.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k != "QQLAB_QUBIT_CAP"}
+        env["PYTHONPATH"] = f"{src}{os.pathsep}{env.get('PYTHONPATH', '')}"
+        done = subprocess.run([sys.executable, "-m", "qqlab", "info"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0
+        assert "qubit cap" in done.stdout
 
 
 class TestSweepCommands:

@@ -38,6 +38,21 @@ class TestConfig:
             cfg(kind="census", n=3)
         cfg(kind="census", n=3, allow_large_census=True)
 
+    def test_rejects_wrong_types_and_negative_counts(self):
+        for bad in ({"n": "3"}, {"trials": 2.5}, {"seed": True}, {"t": "1"},
+                    {"family": 3}, {"epsilon": None}, {"tau_work": -1}, {"seed": -1},
+                    {"t": -1}):
+            with pytest.raises(ConfigError):
+                cfg(kind="lemma2", **bad)
+        cfg(kind="lemma2", t=0, epsilon=2, success_threshold=1)
+
+    def test_from_file_rejects_malformed_json(self, tmp_path):
+        path = tmp_path / "c.json"
+        for text in ("{not json", "[1, 2]"):
+            path.write_text(text)
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_file(path, kind="lemma1")
+
     def test_from_file(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"kind": "lemma1", "n": 3, "trials": 7}))

@@ -1,16 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qqlab.errors import (CapExceededError, LayoutMismatchError,
                           WidthMismatchError)
+from qqlab.harness import build_program
 from qqlab.oracles import (BitWord, all_oracles, iterate, make_oracle,
                            mutate, sample_uniform_oracle)
-from qqlab.programs import (QueryProgram, classical_emulation_program, load_program,
-                            program_from_json, program_to_json, random_program, run,
-                            run_final, save_program, success_probability,
-                            truncate_after_query)
-from qqlab.qsim import (BasisAssignment, QubitLayout, basis_state, cnot_gate,
-                        l2_distance, query_mass, query_masses)
+from qqlab.programs import (QueryProgram, classical_emulation_program, initial_state,
+                            load_program, output_distribution, program_from_json,
+                            program_to_json, random_program, run, run_final, save_program,
+                            success_probability, truncate_after_query)
+from qqlab.qsim import (BasisAssignment, QubitLayout, apply_local_unitary, apply_query,
+                        basis_state, cnot_gate, l2_distance, query_mass, query_masses,
+                        random_gate)
 from qqlab.rng import generator
 
 
@@ -239,3 +243,102 @@ class TestProgramFiles:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             program_from_json('{"format": "nope"}')
+
+
+def dense_chain(prog, f, x):
+    """Reference chain chi_0..chi_t stepped gate by gate on the full vector."""
+    state = initial_state(prog.layout, x)
+    for g in prog.prelude:
+        state = apply_local_unitary(state, g)
+    chain = [state]
+    for rnd in prog.rounds:
+        state = apply_query(state, f)
+        for g in rnd:
+            state = apply_local_unitary(state, g)
+        chain.append(state)
+    return chain
+
+
+def assert_matches_dense(prog, f, x):
+    ref = dense_chain(prog, f, x)
+    trace = run(prog, f, x)
+    assert len(trace.states) == len(ref)
+    for got, want in zip(trace.states, ref):
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+    assert np.array_equal(run_final(prog, f, x).amplitudes, ref[-1].amplitudes)
+    dist = output_distribution(prog, ref[-1])
+    width = len(prog.output_region)
+    for value in range(1 << width):
+        assert success_probability(prog, f, x, BitWord(width, value)) == float(dist[value])
+
+
+PERMUTATION_FAMILIES = ("classical-emulation", "truncated-emulation", "concentrated")
+
+
+def assert_family_matches_dense(family, n, T, f, i):
+    """The input word is nonzero wherever the layout has room for it."""
+    prog = build_program(family, n, T, None, 2, 0)
+    room = prog.layout.work_count >= n
+    assert_matches_dense(prog, f, BitWord(n, i % (1 << n) if room else 0))
+
+
+class TestBasisIndexPath:
+    """Permutation-only programs run on one basis index; they must give the
+    dense path's results bit for bit."""
+
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_oracle_of_small_width(self, family, n):
+        for T in (1, 2, 3, 4):
+            for i, f in enumerate(all_oracles(n)):
+                assert_family_matches_dense(family, n, T, f, i)
+
+    @pytest.mark.parametrize("family", PERMUTATION_FAMILIES)
+    def test_random_width_three_oracles(self, family):
+        # oracle i runs at T = i % 4 + 1: a dense 21-qubit reference costs
+        # about 1.5 s, too much to repeat for every T on all 50 oracles
+        rng = generator(31, "basis-path", 3)
+        for i in range(50):
+            assert_family_matches_dense(family, 3, i % 4 + 1, sample_uniform_oracle(3, rng), i)
+
+    @pytest.mark.parametrize("where", ["prelude", "last round"])
+    def test_one_haar_gate_takes_the_dense_path(self, where):
+        rng = generator(32, "basis-path", 0)
+        base = classical_emulation_program(2, 3)
+        haar = random_gate((0, base.layout.total - 1), rng)
+        prelude, rounds = base.prelude, list(base.rounds)
+        if where == "prelude":
+            prelude = (haar,) + prelude
+        else:
+            rounds[-1] = rounds[-1] + (haar,)
+        prog = QueryProgram(base.layout, prelude, rounds, base.output_region)
+        for f in (FOUR_CYCLE, sample_uniform_oracle(2, rng)):
+            assert_matches_dense(prog, f, w("10"))
+        assert np.count_nonzero(run_final(prog, FOUR_CYCLE, w("10")).amplitudes) > 1
+
+    def test_input_checks_kept(self):
+        prog = build_program("concentrated", 2, 3, None, 1, 0)  # one working qubit
+        f = sample_uniform_oracle(2, 0)
+        for call in (lambda x: run(prog, f, x), lambda x: run_final(prog, f, x),
+                     lambda x: success_probability(prog, f, x, w("00"))):
+            with pytest.raises(LayoutMismatchError):
+                call(w("10"))
+            with pytest.raises(WidthMismatchError):
+                call(w("1"))
+        with pytest.raises(WidthMismatchError):
+            run(prog, sample_uniform_oracle(3, 0), w("00"))
+
+    def test_cap_sized_program_allocates_no_state(self, monkeypatch):
+        monkeypatch.delenv("QQLAB_QUBIT_CAP", raising=False)
+        prog = classical_emulation_program(4, 3)  # 24 qubits: 256 MB per dense state
+        f = sample_uniform_oracle(4, 5)
+        x = BitWord.zero(4)
+        target = iterate(f, x, 3)
+        tracemalloc.start()
+        try:
+            p = success_probability(prog, f, x, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p == 1.0
+        assert peak < 1 << 20
