@@ -17,6 +17,11 @@ Two kinds of facts are handled very differently here:
   flag, and the raw values, so reports separate theorem violations
   (never expected) from premise failures (expected for concentrated
   programs, and reported as such).
+
+The construction and the bound report step their chains with the same
+primitive as `programs.run`, so permutation-only programs run on one basis
+index here too.  The report takes the evolving-oracle chain from the trace
+and steps only the fixed-final-oracle and fresh-oracle chains.
 """
 
 from __future__ import annotations
@@ -25,11 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import QqlabError, TraceNotSucceededError
 from .oracles import (BitWord, OracleTable, WordSet, diff_set, iterate, mutate,
                       orbit, sample_uniform_oracle)
-from .programs import QueryProgram, initial_state, run, run_final
+from .programs import QueryProgram, _resume, _step, _vector, run, run_final
 from .qsim import (StateVector, apply_query, l2_distance, oracle_distance,
                    query_mass, query_masses)
 from .rng import as_generator
@@ -127,15 +131,6 @@ class AdversaryTrace:
         return self.steps[-1].oracle
 
 
-def _one_round(amps: np.ndarray, prog: QueryProgram, round_index: int,
-               f: OracleTable) -> np.ndarray:
-    layout = prog.layout
-    buf = kernels.apply_query(amps, layout.total, layout.query_width, f.values)
-    for g in prog.rounds[round_index]:
-        kernels.apply_matrix_inplace(buf, layout.total, layout.index_bits(g.targets), g.matrix)
-    return buf
-
-
 def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> AdversaryTrace:
     """Run the inductive low-mass-pivot construction against the program.
 
@@ -169,10 +164,8 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
     zero = BitWord.zero(n)
     full = WordSet(n, frozenset(range(size)))
 
-    buf = initial_state(layout, zero).amplitudes.copy()
-    for g in prog.prelude:
-        kernels.apply_matrix_inplace(buf, layout.total, layout.index_bits(g.targets), g.matrix)
-    state = StateVector(layout, buf)
+    chi = _step(prog, 0, 0, f)  # the all-zero input is basic state 0
+    state = _vector(layout, chi)
     masses = query_masses(state)
     steps = [AdversaryStep(state, f, full, zero, masses)]
     available = masses < threshold
@@ -182,8 +175,8 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
                               succeeded=False, exhausted_at=at)
 
     for i in range(t):
-        buf = _one_round(steps[-1].state.amplitudes, prog, i, steps[-1].oracle)
-        state = StateVector(layout, buf)
+        chi = _step(prog, chi, i + 1, steps[-1].oracle)
+        state = _vector(layout, chi)
         masses = query_masses(state)
         available = available & (masses < threshold)
         if not available.any():
@@ -262,9 +255,13 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     if not trace.succeeded:
         raise TraceNotSucceededError(f"trace exhausted at step {trace.exhausted_at}")
     t = trace.t
+    layout = prog.layout
+    if layout != trace.steps[0].state.layout or prog.query_count != t:
+        raise ValueError(
+            f"program ({prog.query_count} rounds on {layout}) cannot have produced "
+            f"the trace ({t} rounds on {trace.steps[0].state.layout})")
     alpha = trace.alpha
     threshold = trace.threshold
-    layout = prog.layout
     x_t = trace.steps[-1].pivot
     f_final = trace.final_oracle
 
@@ -273,21 +270,18 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     bound_pivot = 3.0 * t ** 1.5 * root
     bound_final = 6.0 * t ** 2.5 * root
 
-    # premises: every disagreement word of (f_i, f_final) light in state i
-    premises, premise_masses = [], []
+    # per round: the premise (every disagreement word of (f_i, f_final) light
+    # in state i) and the sensitivity of state i to the oracle swap; round i
+    # under the evolving oracle is the trace's own next state
+    chis = [_resume(prog, step.state) for step in trace.steps]
+    premises, premise_masses, deltas = [], [], []
     for i in range(t):
         diff = diff_set(trace.steps[i].oracle, f_final)
         worst = max((float(trace.steps[i].masses[w.value]) for w in diff), default=0.0)
         premise_masses.append(worst)
         premises.append(worst < threshold)
-
-    # per-round sensitivity of the trace states to the oracle swap
-    deltas = []
-    for i in range(t):
-        amps = trace.steps[i].state.amplitudes
-        a_evolving = _one_round(amps, prog, i, trace.steps[i].oracle)
-        a_final = _one_round(amps, prog, i, f_final)
-        deltas.append(float(np.linalg.norm(a_evolving - a_final)))
+        a_final = _vector(layout, _step(prog, chis[i], i + 1, f_final)).amplitudes
+        deltas.append(float(np.linalg.norm(trace.steps[i + 1].state.amplitudes - a_final)))
 
     # fixed-final-oracle chain: drifts, pivot roots, and the triangle step,
     # all recorded in one pass (exact identities raise; they can only fail
@@ -295,6 +289,7 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     drifts = [0.0]
     pivot_roots_primed = []
     primed = trace.steps[0].state
+    chi = chis[0]
     for i in range(t + 1):
         root_primed = float(np.sqrt(query_mass(primed, x_t)))
         pivot_roots_primed.append(root_primed)
@@ -307,15 +302,16 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
             raise QqlabError(
                 f"drift recursion failed at i={i}: {drifts[i]} > {sum(deltas[:i])}")
         if i < t:
-            primed = StateVector(layout, _one_round(primed.amplitudes, prog, i, f_final))
+            chi = _step(prog, chi, i + 1, f_final)
+            primed = _vector(layout, chi)
             drifts.append(l2_distance(trace.steps[i + 1].state, primed))
 
     # chain under the freshly redirected oracle
     f_fresh = mutate(f_final, x_t, trace.final_value)
-    dprimed = trace.steps[0].state
+    chi = chis[0]
     for i in range(t):
-        dprimed = StateVector(layout, _one_round(dprimed.amplitudes, prog, i, f_fresh))
-    final_gap = l2_distance(primed, dprimed)
+        chi = _step(prog, chi, i + 1, f_fresh)
+    final_gap = l2_distance(primed, _vector(layout, chi))
 
     chain_rhs = 2.0 * sum(pivot_roots_primed[:t])
     if final_gap > chain_rhs + TOL:

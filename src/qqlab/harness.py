@@ -262,32 +262,24 @@ def run_lemma2_trials(cfg: ExperimentConfig) -> ExperimentReport:
     return _finish(cfg, rows, {}, started)
 
 
-def run_adversary_trials(cfg: ExperimentConfig) -> ExperimentReport:
+def _adversary_report(cfg: ExperimentConfig, trace_rows, extra: dict) -> ExperimentReport:
+    """The trial loop of both adversary runners.  Each trial runs the
+    construction and adds the rows trace_rows(trial, prog, trace) returns;
+    the aggregates are the trace counts, then extra as trace_rows left it."""
     started = time.perf_counter()
     rows = []
     succeeded = 0
     exhaustion: dict[int, int] = {}
-    premise_failures = 0
-    raw_violations = 0
     for i in range(cfg.trials):
         prog = build_program(cfg.family, cfg.n, cfg.T, cfg.T - 1, cfg.tau_work,
                              generator(cfg.seed, "adversary-prog", i))
         trace = build_hard_oracle(prog, cfg.T, cfg.epsilon,
                                   generator(cfg.seed, "adversary", i))
-        tag = _seed_tag(cfg, i)
-        if not trace.succeeded:
+        if trace.succeeded:
+            succeeded += 1
+        else:
             exhaustion[trace.exhausted_at] = exhaustion.get(trace.exhausted_at, 0) + 1
-            continue
-        succeeded += 1
-        report = adversary_bound_report(prog, trace, cfg.T, cfg.epsilon)
-        premise_failures += sum(1 for p in report.premises if not p)
-        raw_violations += len(report.raw_violations())
-        if trace.t >= 1:
-            rows.append(_row(GapReport(f"pivot_invariant[trial={i}]",
-                                       trace.pivot_mass_max, trace.threshold), tag))
-        for rep in report.rows:
-            rows.append(_row(GapReport(f"{rep.context}[trial={i}]", rep.lhs, rep.rhs,
-                                       checked=rep.checked, extra=rep.extra), tag))
+        rows.extend(trace_rows(i, prog, trace))
     low, high = wilson_interval(succeeded, cfg.trials)
     aggregates = {
         "traces": cfg.trials,
@@ -295,10 +287,31 @@ def run_adversary_trials(cfg: ExperimentConfig) -> ExperimentReport:
         "success_rate": succeeded / cfg.trials,
         "success_wilson95": [low, high],
         "exhaustion_histogram": {str(k): v for k, v in sorted(exhaustion.items())},
-        "premise_failures": premise_failures,
-        "raw_bound_violations": raw_violations,
+        **extra,
     }
     return _finish(cfg, rows, aggregates, started)
+
+
+def run_adversary_trials(cfg: ExperimentConfig) -> ExperimentReport:
+    counts = {"premise_failures": 0, "raw_bound_violations": 0}
+
+    def trace_rows(i, prog, trace):
+        if not trace.succeeded:
+            return []
+        report = adversary_bound_report(prog, trace, cfg.T, cfg.epsilon)
+        counts["premise_failures"] += sum(1 for p in report.premises if not p)
+        counts["raw_bound_violations"] += len(report.raw_violations())
+        tag = _seed_tag(cfg, i)
+        rows = []
+        if trace.t >= 1:
+            rows.append(_row(GapReport(f"pivot_invariant[trial={i}]",
+                                       trace.pivot_mass_max, trace.threshold), tag))
+        for rep in report.rows:
+            rows.append(_row(GapReport(f"{rep.context}[trial={i}]", rep.lhs, rep.rhs,
+                                       checked=rep.checked, extra=rep.extra), tag))
+        return rows
+
+    return _adversary_report(cfg, trace_rows, counts)
 
 
 def run_pigeonhole_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -430,33 +443,16 @@ def adversary_success_rate(family: str, n: int, T: int, epsilon: float,
     cfg = ExperimentConfig(kind="adversary", n=n, T=T, epsilon=epsilon,
                            trials=trials, seed=seed, family=family,
                            tau_work=tau_work).validate()
-    started = time.perf_counter()
-    rows = []
-    succeeded = 0
-    exhaustion: dict[int, int] = {}
-    for i in range(trials):
-        prog = build_program(family, n, T, T - 1, tau_work,
-                             generator(seed, "adversary-prog", i))
-        trace = build_hard_oracle(prog, T, epsilon, generator(seed, "adversary", i))
-        if trace.succeeded:
-            succeeded += 1
-        else:
-            exhaustion[trace.exhausted_at] = exhaustion.get(trace.exhausted_at, 0) + 1
-        rows.append({
+
+    def trace_rows(i, prog, trace):
+        return [{
             "context": f"trace[trial={i}]",
             "lhs": float(trace.succeeded), "rhs": 0.0, "slack": 0.0,
             "vacuous": False, "checked": False, "seed": _seed_tag(cfg, i),
             "exhausted_at": trace.exhausted_at,
-        })
-    low, high = wilson_interval(succeeded, trials)
-    aggregates = {
-        "traces": trials,
-        "succeeded": succeeded,
-        "success_rate": succeeded / trials,
-        "success_wilson95": [low, high],
-        "exhaustion_histogram": {str(k): v for k, v in sorted(exhaustion.items())},
-    }
-    return _finish(cfg, rows, aggregates, started)
+        }]
+
+    return _adversary_report(cfg, trace_rows, {})
 
 
 _RUNNERS = {

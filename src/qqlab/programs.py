@@ -9,20 +9,25 @@ Program input convention: the input word is written on the first n
 working qubits, every other qubit starts at 0.  Output convention: the
 result is read verbatim off the program's output region.
 
-Programs whose every gate is a 0/1 permutation (the classical-emulation,
-truncated-emulation and concentrated families) start from a basic state
-and stay on one basic state with amplitude exactly 1, since the XOR query
-is a permutation too.  `run`, `run_final` and `success_probability` detect
-this and step only that state's flat index; the result is exact and
-bit-identical to the dense path.  Only the states a caller gets back are
-built as arrays, and `success_probability` builds none.  Every other
-program runs on the dense 2**N state vector.
+One private primitive, `_step`, steps every chain one block at a time
+under an oracle given per call: `run`, `run_final`, `success_probability`
+and the adversary construction and bound report in `analysis` all use it.
+Whether every gate is a 0/1 permutation is worked out once per program.
+Such a program (the classical-emulation, truncated-emulation and
+concentrated families) keeps a basic input on one basic state with
+amplitude exactly 1, since the XOR query is a permutation too, so its
+chain is carried as that state's flat index: exact and bit-identical to
+the dense path.  Only the states a caller gets back are built as arrays,
+and `success_probability` builds none.  Every other program runs on a
+dense 2**N buffer.
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +69,15 @@ class QueryProgram:
         for r in self.rounds:
             yield from r
 
+    @cached_property
+    def _permutations(self) -> tuple | None:
+        """Per block (the prelude, then each round): the index bits and the
+        0/1 permutation of every gate, or None if some gate is not one;
+        worked out once per program."""
+        perms = tuple(tuple((self.layout.index_bits(g.targets), kernels.as_permutation(g.matrix))
+                            for g in block) for block in (self.prelude, *self.rounds))
+        return None if any(p is None for block in perms for _, p in block) else perms
+
 
 @dataclass(frozen=True)
 class Trace:
@@ -80,82 +94,76 @@ def _initial_index(layout: QubitLayout, input_word: BitWord) -> int:
     if input_word.value != 0 and layout.work_count < n:
         raise LayoutMismatchError(
             f"nonzero input needs {n} working qubits, layout has {layout.work_count}")
-    index = 0
-    for p, b in enumerate(input_word.bits):
-        if b:
-            index |= 1 << layout.index_bit(p)
-    return index
+    return sum(1 << layout.index_bit(p) for p, b in enumerate(input_word.bits) if b)
 
 
-def _basis_vector(layout: QubitLayout, index: int) -> StateVector:
+def _basis_amplitudes(layout: QubitLayout, index: int) -> np.ndarray:
     amps = np.zeros(layout.dim, dtype=np.complex128)
     amps[index] = 1.0
-    return StateVector(layout, amps)
+    return amps
 
 
 def initial_state(layout: QubitLayout, input_word: BitWord) -> StateVector:
-    return _basis_vector(layout, _initial_index(layout, input_word))
+    return StateVector(layout, _basis_amplitudes(layout, _initial_index(layout, input_word)))
 
 
-def _basis_indices(prog: QueryProgram, f: OracleTable,
-                   input_word: BitWord) -> list[int] | None:
-    """Flat indices of the basic states chi_0..chi_t of a permutation-only
-    program; None at the first gate that is not a 0/1 permutation."""
+def _vector(layout: QubitLayout, chi) -> StateVector:
+    return StateVector(layout, _basis_amplitudes(layout, chi) if isinstance(chi, int) else chi)
+
+
+def _resume(prog: QueryProgram, state: StateVector):
+    """A recorded chain state as `_step` carries it: a flat index for a basic
+    state with amplitude 1 of a permutation-only program, else amplitudes."""
+    amps = state.amplitudes
+    if prog._permutations is not None:
+        nonzero = np.flatnonzero(amps)
+        if len(nonzero) == 1 and amps[nonzero[0]] == 1.0:
+            return int(nonzero[0])
+    return amps
+
+
+def _step(prog: QueryProgram, chi, block: int, f: OracleTable):
+    """One block of the state chain.  Block 0 is the prelude and takes the
+    flat index of the input basis state; block i + 1 is the query under f
+    plus the gates of round i and takes chi_i.  Returns the next chain
+    state: a flat index if the program is permutation-only and chi is one,
+    otherwise a fresh dense buffer (the input buffer is never written)."""
     layout = prog.layout
-    if f.width != layout.query_width:
+    if isinstance(chi, int):
+        if prog._permutations is not None:
+            if block:
+                chi = kernels.query_index(chi, layout.query_width, f.values)
+            for bits, perm in prog._permutations[block]:
+                chi = kernels.permute_index(chi, bits, perm)
+            return chi
+        chi = _basis_amplitudes(layout, chi)
+    if block:
+        chi = kernels.apply_query(chi, layout.total, layout.query_width, f.values)
+    for g in prog.rounds[block - 1] if block else prog.prelude:
+        kernels.apply_matrix_inplace(chi, layout.total, layout.index_bits(g.targets), g.matrix)
+    return chi
+
+
+def _chain(prog: QueryProgram, f: OracleTable, input_word: BitWord):
+    """chi_0..chi_t under f, one at a time."""
+    if f.width != prog.layout.query_width:
         raise WidthMismatchError(
-            f"oracle width {f.width} != query width {layout.query_width}")
-    index = _initial_index(layout, input_word)
-    indices = []
-    for i, gates in enumerate((prog.prelude, *prog.rounds)):
-        if i:
-            index = kernels.query_index(index, layout.query_width, f.values)
-        for g in gates:
-            perm = kernels.as_permutation(g.matrix)
-            if perm is None:
-                return None
-            index = kernels.permute_index(index, layout.index_bits(g.targets), perm)
-        indices.append(index)
-    return indices
-
-
-def _execute(prog: QueryProgram, f: OracleTable, input_word: BitWord, keep_states: bool):
-    indices = _basis_indices(prog, f, input_word)
-    if indices is None:
-        return _execute_dense(prog, f, input_word, keep_states)
-    if keep_states:
-        return [_basis_vector(prog.layout, i) for i in indices]
-    return _basis_vector(prog.layout, indices[-1])
-
-
-def _execute_dense(prog: QueryProgram, f: OracleTable, input_word: BitWord,
-                   keep_states: bool):
-    layout = prog.layout
-    total = layout.total
-    buf = initial_state(layout, input_word).amplitudes.copy()
-    for g in prog.prelude:
-        kernels.apply_matrix_inplace(buf, total, layout.index_bits(g.targets), g.matrix)
-    states = [StateVector(layout, buf)]
-    for rnd in prog.rounds:
-        buf = kernels.apply_query(buf, total, layout.query_width, f.values)
-        for g in rnd:
-            kernels.apply_matrix_inplace(buf, total, layout.index_bits(g.targets), g.matrix)
-        # the buffer is rebound at the next query, so the snapshot stays intact
-        states.append(StateVector(layout, buf))
-    if keep_states:
-        return states
-    return states[-1]
+            f"oracle width {f.width} != query width {prog.layout.query_width}")
+    chi = _initial_index(prog.layout, input_word)
+    for block in range(prog.query_count + 1):
+        chi = _step(prog, chi, block, f)
+        yield chi
 
 
 def run(prog: QueryProgram, f: OracleTable, input_word: BitWord) -> Trace:
     """Execute and keep the whole state chain."""
-    states = _execute(prog, f, input_word, keep_states=True)
-    return Trace(tuple(states), prog.query_count)
+    states = tuple(_vector(prog.layout, chi) for chi in _chain(prog, f, input_word))
+    return Trace(states, prog.query_count)
 
 
 def run_final(prog: QueryProgram, f: OracleTable, input_word: BitWord) -> StateVector:
     """Execute keeping only the final state (memory-light path for sweeps)."""
-    return _execute(prog, f, input_word, keep_states=False)
+    return _vector(prog.layout, deque(_chain(prog, f, input_word), maxlen=1)[0])
 
 
 def output_distribution(prog: QueryProgram, final_state: StateVector) -> np.ndarray:
@@ -171,12 +179,11 @@ def success_probability(prog: QueryProgram, f: OracleTable, input_word: BitWord,
     if target.width != len(prog.output_region):
         raise WidthMismatchError(
             f"target width {target.width} != output region size {len(prog.output_region)}")
-    indices = _basis_indices(prog, f, input_word)
-    if indices is not None:
+    final = deque(_chain(prog, f, input_word), maxlen=1)[0]
+    if isinstance(final, int):
         bits = prog.layout.index_bits(prog.output_region)
-        return float(kernels.read_bits(indices[-1], bits) == target.value)
-    final = _execute_dense(prog, f, input_word, keep_states=False)
-    return float(output_distribution(prog, final)[target.value])
+        return float(kernels.read_bits(final, bits) == target.value)
+    return float(output_distribution(prog, StateVector(prog.layout, final))[target.value])
 
 
 def classical_emulation_program(n: int, T: int) -> QueryProgram:

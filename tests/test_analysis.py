@@ -5,10 +5,12 @@ from qqlab.analysis import (GapReport, adversary_bound_report,
                             build_hard_oracle, lemma1_check, lemma2_check,
                             pigeonhole_mutation_check, query_mass_matrix)
 from qqlab.errors import TraceNotSucceededError
+from qqlab.harness import build_program
 from qqlab.oracles import BitWord, make_oracle, mutate, sample_uniform_oracle
-from qqlab.programs import (QueryProgram, classical_emulation_program,
+from qqlab.programs import (QueryProgram, classical_emulation_program, initial_state,
                             random_program, truncate_after_query)
-from qqlab.qsim import (QubitLayout, StateVector, h_gate, x_gate)
+from qqlab.qsim import (QubitLayout, StateVector, apply_local_unitary, apply_query,
+                        h_gate, l2_distance, query_mass, query_masses, x_gate)
 from qqlab.rng import generator
 
 
@@ -237,6 +239,20 @@ class TestAdversaryBoundReport:
             assert rep.violations() == []
         assert succeeded >= 8
 
+    def test_program_of_another_layout_rejected(self):
+        prog = concentrated_program(2, 2)
+        trace = build_hard_oracle(prog, 3, 1.0, 31)
+        assert trace.succeeded
+        with pytest.raises(ValueError):
+            adversary_bound_report(concentrated_program(2, 2, work=2), trace, 3, 1.0)
+
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_program_of_another_length_rejected(self, rounds):
+        trace = build_hard_oracle(concentrated_program(2, 2), 3, 1.0, 31)
+        assert trace.succeeded
+        with pytest.raises(ValueError):
+            adversary_bound_report(concentrated_program(2, rounds), trace, 3, 1.0)
+
 
 class TestQueryMassMatrix:
     def test_never_queried_orbit_gives_zero_matrix(self):
@@ -320,3 +336,81 @@ class TestGapReport:
         assert r.slack == 2.0 and r.vacuous and r.holds()
         r2 = GapReport("x", 1.0, 0.5)
         assert not r2.holds() and not r2.vacuous
+
+
+def qsim_round(state, gates, f):
+    """One round stepped gate by gate on the full vector."""
+    state = apply_query(state, f)
+    for g in gates:
+        state = apply_local_unitary(state, g)
+    return state
+
+
+def reference_trace_states(prog, trace):
+    """The trace's chain chi_0..chi_t, each round under that step's oracle."""
+    state = initial_state(prog.layout, BitWord.zero(prog.layout.query_width))
+    for g in prog.prelude:
+        state = apply_local_unitary(state, g)
+    states = [state]
+    for i in range(trace.t):
+        states.append(qsim_round(states[-1], prog.rounds[i], trace.steps[i].oracle))
+    return states
+
+
+def adversary_program(family, n, T, seed):
+    if family == "classical-emulation":  # T queries of its own: build it one short
+        return build_program(family, n, T - 1, None, 2, seed)
+    return build_program(family, n, T, T - 1, 2, seed)
+
+
+# (n, T, seeds): layouts of at most 18 qubits
+ADVERSARY_CASES = [(1, 2, 3), (2, 2, 3), (2, 3, 3), (2, 4, 2), (3, 3, 2)]
+
+
+class TestAdversaryChainAgainstQsim:
+    """The construction and the bound report step their chains with the
+    programs primitive; each value must equal a reference stepped with
+    qsim bit for bit."""
+
+    @pytest.mark.parametrize("family", ["classical-emulation", "truncated-emulation",
+                                        "concentrated", "random"])
+    def test_trace_and_report_match(self, family):
+        reports = 0
+        for n, T, seeds in ADVERSARY_CASES:
+            for seed in range(seeds):
+                prog = adversary_program(family, n, T, generator(41, family, seed))
+                assert prog.layout.total <= 18
+                trace = build_hard_oracle(prog, T, 1.0, generator(42, family, seed))
+                ref = reference_trace_states(prog, trace)
+                assert len(trace.steps) == len(ref)
+                for step, want in zip(trace.steps, ref):
+                    assert np.array_equal(step.state.amplitudes, want.amplitudes)
+                    assert np.array_equal(step.masses, query_masses(want))
+                if trace.succeeded:
+                    assert_report_matches(prog, trace, ref, T)
+                    reports += 1
+        assert reports >= 5
+
+
+def assert_report_matches(prog, trace, ref, T):
+    t = trace.t
+    rounds = prog.rounds
+    f_final = trace.final_oracle
+    x_t = trace.steps[-1].pivot
+    # reference deltas: round i under both oracles from the same state
+    deltas = [float(np.linalg.norm(
+        qsim_round(ref[i], rounds[i], trace.steps[i].oracle).amplitudes
+        - qsim_round(ref[i], rounds[i], f_final).amplitudes)) for i in range(t)]
+    primed = [ref[0]]
+    for i in range(t):
+        primed.append(qsim_round(primed[-1], rounds[i], f_final))
+    fresh = ref[0]
+    f_fresh = mutate(f_final, x_t, trace.final_value)
+    for i in range(t):
+        fresh = qsim_round(fresh, rounds[i], f_fresh)
+
+    rep = adversary_bound_report(prog, trace, T, 1.0)
+    assert rep.deltas == deltas
+    assert rep.drifts == [l2_distance(a, b) for a, b in zip(ref, primed)]
+    assert rep.pivot_roots_primed == [float(np.sqrt(query_mass(p, x_t))) for p in primed]
+    assert rep.final_gap == l2_distance(primed[-1], fresh)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qqlab import kernels
 from qqlab.errors import CapExceededError, ConfigError
 from qqlab.harness import (CSV_SCHEMA, ExperimentConfig, ExperimentReport,
                            adversary_success_rate, build_program, exact_census,
@@ -242,3 +243,28 @@ class TestAdversaryRate:
         rep = adversary_success_rate("random", 3, 3, 1.0, trials=30, seed=13)
         agg = rep.aggregates
         assert agg["succeeded"] + sum(agg["exhaustion_histogram"].values()) == 30
+
+    @pytest.mark.parametrize("family", ["random", "concentrated"])
+    def test_same_aggregates_as_the_adversary_kind(self, family):
+        rate = adversary_success_rate(family, 3, 3, 1.0, trials=20, seed=15).aggregates
+        full = monte_carlo(cfg(kind="adversary", family=family, n=3, T=3, epsilon=1.0,
+                               trials=20, seed=15, tau_work=2)).aggregates
+        for key in ("traces", "succeeded", "success_wilson95", "exhaustion_histogram"):
+            assert rate[key] == full[key]
+        if family == "random":
+            assert rate["exhaustion_histogram"]  # some traces exhaust
+
+
+def test_census_finds_gate_permutations_once(monkeypatch):
+    calls = []
+    real = kernels.as_permutation
+
+    def counted(matrix):
+        calls.append(1)
+        return real(matrix)
+
+    monkeypatch.setattr(kernels, "as_permutation", counted)
+    rep = exact_census("classical-emulation", 2, 3)
+    gates = len(list(build_program("classical-emulation", 2, 3, None, 0, 0).all_gates()))
+    assert rep.total_oracles == 256
+    assert 0 < len(calls) <= gates
