@@ -97,6 +97,11 @@ class ExperimentConfig:
                 raise ConfigError("adversary runs need T >= 1")
             if self.t is not None and self.t != self.T - 1:
                 raise ConfigError("adversary regime requires t = T - 1")
+            if self.family == "classical-emulation":
+                # build_program gives this family T queries; the hard oracle
+                # is built against T - 1
+                raise ConfigError("adversary runs need t = T - 1 queries; classical-emulation "
+                                  "makes T, use truncated-emulation")
         if self.kind in ("pigeonhole", "montecarlo", "census") and self.T < 1:
             raise ConfigError(f"{self.kind} needs T >= 1")
         if self.kind == "census" and self.n > 2 and not self.allow_large_census:

@@ -5,9 +5,11 @@ set of *index bits* (bit 0 = least significant bit of the flat index).
 Callers translate qubit positions to index bits; kernels never see layouts.
 
 Gates are applied in place on a caller-owned buffer.  Permutation gates
-(X, CNOT, Toffoli, ...) are dispatched to strided slice rotations, which
-avoid the full-size index gathers that dominate at 20+ qubits; small dense
-gates use views for 1-2 targets and a gather/scatter for 3-4 targets.
+(X, CNOT, Toffoli, ...) are dispatched to strided slice rotations; dense
+gates use slice views for 1-2 targets and one matrix product over the
+target axes of the (2,)*nbits view for 3-4 targets.  No kernel keeps
+anything between calls, and none holds more than two state-sized
+temporaries at once.
 
 A state with one nonzero amplitude 1 stays one under permutation gates and
 the XOR query, so it can be carried as its flat index alone:
@@ -17,8 +19,6 @@ same bit conventions and no array of length 2**nbits.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -120,26 +120,6 @@ def _apply_dense_2q_inplace(amps, nbits, bits, u):
         views[row][...] = acc
 
 
-@lru_cache(maxsize=128)
-def _gather_indices(nbits: int, bits: tuple[int, ...]) -> np.ndarray:
-    """(2**k, 2**(nbits-k)) index table: row l = flat indices with target bits = l."""
-    k = len(bits)
-    rest = [b for b in range(nbits) if b not in bits]
-    base = np.zeros(1 << len(rest), dtype=np.int64)
-    r = np.arange(1 << len(rest), dtype=np.int64)
-    for i, b in enumerate(rest):
-        base |= ((r >> i) & 1) << b
-    offs = np.zeros(1 << k, dtype=np.int64)
-    for l in range(1 << k):
-        o = 0
-        for j in range(k):
-            if (l >> (k - 1 - j)) & 1:
-                o |= 1 << bits[j]
-        offs[l] = o
-    out = offs[:, None] | base[None, :]
-    out.flags.writeable = False
-    return out
-
 def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
                          matrix: np.ndarray) -> None:
     """Apply a 2**k x 2**k unitary to the given k index bits, in place.
@@ -157,26 +137,26 @@ def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
     elif k == 2:
         _apply_dense_2q_inplace(amps, nbits, bits, matrix)
     else:
-        gat = _gather_indices(nbits, bits)
-        amps[gat] = matrix @ amps[gat]
-
-
-@lru_cache(maxsize=32)
-def _flat_index(nbits: int) -> np.ndarray:
-    idx = np.arange(1 << nbits, dtype=np.int64)
-    idx.flags.writeable = False
-    return idx
+        # target axes first, bits[0] leading: rows are local patterns and
+        # columns the other bits in flat order, so one matrix product
+        moved = np.moveaxis(amps.reshape((2,) * nbits), [nbits - 1 - b for b in bits],
+                            range(k))
+        moved[...] = (matrix @ moved.reshape(1 << k, -1)).reshape(moved.shape)
 
 
 def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.ndarray:
     """XOR-query transform; returns a fresh array.
 
     Convention: address word in index bits 0..n-1, answer half in bits
-    n..2n-1.  Amplitude at (w, b, a) comes from (w, b ^ f(a), a).
+    n..2n-1.  Amplitude at (w, b, a) comes from (w, b ^ f(a), a).  Besides
+    the result, a call holds one 4**n-entry table of source columns.
     """
-    idx = _flat_index(nbits)
-    pattern = (fvals.astype(np.int64) << n)[idx & ((1 << n) - 1)]
-    return amps[idx ^ pattern]
+    words = np.arange(1 << n, dtype=np.int64)
+    # src[b, a]: where the low 2n bits (b, a) of a destination are read from
+    src = words[:, None] ^ fvals.astype(np.int64)[None, :]
+    src <<= n
+    src |= words[None, :]
+    return np.take(amps.reshape(-1, 1 << 2 * n), src.ravel(), axis=1).reshape(-1)
 
 
 def query_index(index: int, n: int, fvals: np.ndarray) -> int:
@@ -190,19 +170,17 @@ def address_masses(amps: np.ndarray, n: int) -> np.ndarray:
     return p.reshape(-1, 1 << n).sum(axis=0)
 
 
-@lru_cache(maxsize=64)
-def _extracted_values(nbits: int, bits: tuple[int, ...]) -> np.ndarray:
-    """Per flat index, the integer read MSB-first from the given bits."""
-    idx = _flat_index(nbits)
-    k = len(bits)
-    vals = np.zeros(1 << nbits, dtype=np.int64)
-    for j, b in enumerate(bits):
-        vals |= ((idx >> b) & 1) << (k - 1 - j)
-    vals.flags.writeable = False
-    return vals
-
-
 def value_distribution(amps: np.ndarray, nbits: int, bits: tuple[int, ...]) -> np.ndarray:
     """Probability of each value read off the given bits (length 2**k)."""
+    k = len(bits)
+    # the value of every index, as a sum of per-axis bit weights broadcast
+    # over the (2,)*nbits view; bincount adds in flat index order, which a
+    # reshape-and-sum over the other axes would not
+    labels = np.zeros((1,) * nbits, dtype=np.intp)
+    for j, b in enumerate(bits):
+        shape = [1] * nbits
+        shape[nbits - 1 - b] = 2
+        labels = labels + np.array([0, 1 << (k - 1 - j)], dtype=np.intp).reshape(shape)
     p = amps.real ** 2 + amps.imag ** 2
-    return np.bincount(_extracted_values(nbits, bits), weights=p, minlength=1 << len(bits))
+    return np.bincount(np.broadcast_to(labels, (2,) * nbits).ravel(), weights=p,
+                       minlength=1 << k)

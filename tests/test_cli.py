@@ -80,6 +80,10 @@ class TestInputErrors:
         self.assert_input_error(["montecarlo", "--family", "classical-emulation",
                                  "--n", "6", "--T", "4", "--trials", "1"], capsys)
 
+    def test_adversary_on_the_full_emulation(self, capsys):
+        self.assert_input_error(["adversary", "--family", "classical-emulation",
+                                 "--n", "2", "--T", "3"], capsys)
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):

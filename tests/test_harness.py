@@ -34,6 +34,11 @@ class TestConfig:
             cfg(kind="adversary", T=3, t=3)
         cfg(kind="adversary", T=3, t=2)
 
+    def test_adversary_rejects_full_emulation(self):
+        with pytest.raises(ConfigError, match="truncated-emulation"):
+            cfg(kind="adversary", family="classical-emulation", n=2, T=3)
+        cfg(kind="adversary", family="truncated-emulation", n=2, T=3)
+
     def test_census_width_gate(self):
         with pytest.raises(ConfigError):
             cfg(kind="census", n=3)

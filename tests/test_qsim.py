@@ -134,16 +134,21 @@ class TestApplyLocalUnitary:
         out = apply_local_unitary(st_, gate)
         assert np.abs(out.amplitudes - D @ st_.amplitudes).max() < 1e-12
 
-    @pytest.mark.parametrize("trial", range(12))
+    # trials 0-11 draw 1-3 Haar targets; 12-15 four Haar targets and 16-17 a
+    # Toffoli (a 3-target 0/1 permutation), on two more work qubits
+    @pytest.mark.parametrize("trial", range(18))
     def test_matches_dense_embedding(self, trial):
         rng = generator(31, "dense", trial)
         tau = int(rng.integers(0, 5))
         n = int(rng.integers(1, 3))
-        lay = QubitLayout(tau, n)
-        k = int(rng.integers(1, 4))
+        lay = QubitLayout(tau if trial < 12 else tau + 2, n)
+        k = int(rng.integers(1, 4)) if trial < 12 else 4 if trial < 16 else 3
         targets = tuple(int(x) for x in rng.choice(lay.total, size=min(k, lay.total),
                                                    replace=False))
-        gate = random_gate(targets, rng)
+        if trial < 16:
+            gate = random_gate(targets, rng)
+        else:
+            gate = LocalUnitary(targets, np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]])
         st_ = random_state(lay, rng)
         out = apply_local_unitary(st_, gate)
         ref = dense_embedding(lay, gate) @ st_.amplitudes
