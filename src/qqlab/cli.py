@@ -29,11 +29,12 @@ def _count(text: str) -> int:
     return k
 
 
-def _add_common(p, needs_T=False):
+def _add_common(p, needs_T=False, seeded=True):
     p.add_argument("--n", type=int, help="query word width (default 2)")
-    p.add_argument("--tau-work", type=int, help="working qubits (default 2)")
+    if seeded:
+        p.add_argument("--tau-work", type=int, help="working qubits (default 2)")
+        p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--trials", type=int, help="number of trials (default 100)")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
     p.add_argument("--out", help="CSV output path (a .json sibling is written too)")
     p.add_argument("--config", help="JSON config file; explicit flags override it")
     p.add_argument("--family", choices=FAMILIES, help="program family")
@@ -65,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, help="rounds (default ~ sqrt(T)/2)")
 
     p = sub.add_parser("census", help="exact success census over every oracle")
-    _add_common(p, needs_T=True)
+    # census programs are built with no working qubits and no seed
+    _add_common(p, needs_T=True, seeded=False)
     p.add_argument("--t", type=int, help="rounds for truncated families")
     p.add_argument("--threshold", type=float, help="success threshold (default 2/3)")
     p.add_argument("--allow-large", action="store_true")

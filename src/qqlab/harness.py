@@ -1,16 +1,21 @@
 """Experiment front door: seeded sweeps, exact census, Monte Carlo rates,
 and report files.
 
-Reports write a flat CSV (schema frozen below) and a nested JSON.  Trials
-are sequential and every trial derives its own generator from
-(master seed, kind, trial index), so a report is byte-reproducible from
-its config alone; wall time goes only into the JSON.
+Every sweep kind runs through one trial loop (`_sweep`): a kind is a
+function giving trial i's inequality rows and a small outcome, plus a
+function turning the outcomes into its aggregates.  Trials are sequential
+and each derives its generators from (master seed, stream, trial index),
+so a report is byte-reproducible from its config alone; wall time goes
+only into the JSON.  Reports write a flat CSV (schema frozen below) and a
+nested JSON.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from numbers import Integral, Real
 from pathlib import Path
@@ -90,6 +95,8 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.tau_work < 0 or self.seed < 0 or (self.t is not None and self.t < 0):
             raise ConfigError("tau_work, seed and t must be >= 0")
+        if not -math.inf < self.epsilon < math.inf:
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.kind == "adversary":
@@ -102,8 +109,12 @@ class ExperimentConfig:
                 # is built against T - 1
                 raise ConfigError("adversary runs need t = T - 1 queries; classical-emulation "
                                   "makes T, use truncated-emulation")
-        if self.kind in ("pigeonhole", "montecarlo", "census") and self.T < 1:
-            raise ConfigError(f"{self.kind} needs T >= 1")
+        if self.kind in ("pigeonhole", "montecarlo", "census"):
+            if self.T < 1:
+                raise ConfigError(f"{self.kind} needs T >= 1")
+            if self.family == "truncated-emulation" and self.t is not None and self.t > self.T:
+                raise ConfigError(f"truncated-emulation has T = {self.T} rounds, "
+                                  f"cannot keep t = {self.t}")
         if self.kind == "census" and self.n > 2 and not self.allow_large_census:
             raise ConfigError("census beyond n=2 must be explicitly enabled")
         return self
@@ -133,18 +144,16 @@ class ExperimentConfig:
 def build_program(family: str, n: int, T: int, t: int | None,
                   tau_work: int, seed) -> QueryProgram:
     """Named program families used by the census and the sweeps."""
+    rounds = T - 1 if t is None else t
     if family == "classical-emulation":
         return classical_emulation_program(n, T)
     if family == "truncated-emulation":
-        keep = T - 1 if t is None else t
-        return truncate_after_query(classical_emulation_program(n, T), keep)
+        return truncate_after_query(classical_emulation_program(n, T), rounds)
     if family == "random":
-        rounds = (T - 1) if t is None else t
         return random_program(n, tau_work, rounds, seed)
     if family == "concentrated":
         # every pre-query state keeps its address register untouched, so all
         # query mass stays on the input word round after round
-        rounds = (T - 1) if t is None else t
         layout = QubitLayout(max(tau_work, 1), n)
         flip = (x_gate(0),)
         return QueryProgram(layout, (), tuple(flip for _ in range(rounds)),
@@ -200,58 +209,55 @@ def _json_default(obj):
 
 
 def _row(report: GapReport, seed_tag: str) -> dict:
-    return {
-        "context": report.context,
-        "lhs": float(report.lhs),
-        "rhs": float(report.rhs),
-        "slack": float(report.slack),
-        "vacuous": bool(report.vacuous),
-        "checked": bool(report.checked),
-        "seed": seed_tag,
-        **{k: v for k, v in report.extra.items()},
-    }
+    # GapReport holds floats and bools already; extra may override a column
+    return {"context": report.context, "lhs": report.lhs, "rhs": report.rhs,
+            "slack": report.slack, "vacuous": report.vacuous, "checked": report.checked,
+            "seed": seed_tag, **report.extra}
 
 
-def _seed_tag(cfg: ExperimentConfig, trial: int) -> str:
-    return f"{cfg.seed}/{cfg.kind}/{trial}"
-
-
-def _random_state(layout: QubitLayout, rng) -> StateVector:
-    amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-    return StateVector(layout, amps / np.linalg.norm(amps))
-
-
-def _finish(cfg, rows, aggregates, started) -> ExperimentReport:
-    checked = [r for r in rows if r["checked"]]
-    slacks = [r["slack"] for r in checked]
-    aggregates.setdefault("rows", len(rows))
-    aggregates.setdefault("checked_rows", len(checked))
-    aggregates["violations"] = sum(1 for r in checked if r["slack"] < -1e-9)
+def _sweep(cfg: ExperimentConfig, trial, aggregates=lambda outcomes: {}) -> ExperimentReport:
+    """The trial loop of every sweep kind.  trial(i) returns trial i's
+    GapReports and a small outcome; the aggregates are aggregates(outcomes)
+    followed by the summary of the checked rows."""
+    started = time.perf_counter()
+    rows, outcomes = [], []
+    for i in range(cfg.trials):
+        reports, outcome = trial(i)
+        rows.extend(_row(rep, f"{cfg.seed}/{cfg.kind}/{i}") for rep in reports)
+        outcomes.append(outcome)
+    agg = aggregates(outcomes)
+    slacks = [r["slack"] for r in rows if r["checked"]]
+    agg.update(rows=len(rows), checked_rows=len(slacks),
+               violations=sum(1 for s in slacks if s < -1e-9))
     if slacks:
-        aggregates["min_slack"] = min(slacks)
-        aggregates["mean_slack"] = float(np.mean(slacks))
-    return ExperimentReport(cfg, rows, aggregates, wall_time=time.perf_counter() - started)
+        agg.update(min_slack=min(slacks), mean_slack=float(np.mean(slacks)))
+    return ExperimentReport(cfg, rows, agg, wall_time=time.perf_counter() - started)
+
+
+def _rate(name: str, hits: int, trials: int) -> dict:
+    """The hit count under the kind's own key, the rate and its Wilson interval."""
+    return {name: hits, "success_rate": hits / trials,
+            "success_wilson95": list(wilson_interval(hits, trials))}
 
 
 def run_lemma1_trials(cfg: ExperimentConfig) -> ExperimentReport:
-    started = time.perf_counter()
-    rows = []
     layout = QubitLayout(cfg.tau_work, cfg.n)
-    for i in range(cfg.trials):
+
+    def trial(i):
         rng = generator(cfg.seed, "lemma1", i)
-        state = _random_state(layout, rng)
+        amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
+        state = StateVector(layout, amps / np.linalg.norm(amps))
         f = sample_uniform_oracle(cfg.n, rng)
         g = sample_uniform_oracle(cfg.n, rng)
-        rep = lemma1_check(state, f, g, context=f"query_change[n={cfg.n},trial={i}]")
-        rows.append(_row(rep, _seed_tag(cfg, i)))
-    return _finish(cfg, rows, {}, started)
+        return [lemma1_check(state, f, g, context=f"query_change[n={cfg.n},trial={i}]")], None
+
+    return _sweep(cfg, trial)
 
 
 def run_lemma2_trials(cfg: ExperimentConfig) -> ExperimentReport:
-    started = time.perf_counter()
-    rows = []
     t_max = cfg.t if cfg.t is not None else 6
-    for i in range(cfg.trials):
+
+    def trial(i):
         rng = generator(cfg.seed, "lemma2", i)
         t = int(rng.integers(0, t_max + 1))
         prog = random_program(cfg.n, cfg.tau_work, t, rng)
@@ -262,88 +268,78 @@ def run_lemma2_trials(cfg: ExperimentConfig) -> ExperimentReport:
             x = BitWord(cfg.n, int(rng.integers(0, 1 << cfg.n)))
         else:
             x = BitWord.zero(cfg.n)
-        rep = lemma2_check(prog, f, a, y, x, context=f"hybrid[n={cfg.n},t={t},trial={i}]")
-        rows.append(_row(rep, _seed_tag(cfg, i)))
-    return _finish(cfg, rows, {}, started)
+        context = f"hybrid[n={cfg.n},t={t},trial={i}]"
+        return [lemma2_check(prog, f, a, y, x, context=context)], None
+
+    return _sweep(cfg, trial)
 
 
-def _adversary_report(cfg: ExperimentConfig, trace_rows, extra: dict) -> ExperimentReport:
-    """The trial loop of both adversary runners.  Each trial runs the
-    construction and adds the rows trace_rows(trial, prog, trace) returns;
-    the aggregates are the trace counts, then extra as trace_rows left it."""
-    started = time.perf_counter()
-    rows = []
-    succeeded = 0
-    exhaustion: dict[int, int] = {}
-    for i in range(cfg.trials):
-        prog = build_program(cfg.family, cfg.n, cfg.T, cfg.T - 1, cfg.tau_work,
-                             generator(cfg.seed, "adversary-prog", i))
-        trace = build_hard_oracle(prog, cfg.T, cfg.epsilon,
-                                  generator(cfg.seed, "adversary", i))
-        if trace.succeeded:
-            succeeded += 1
-        else:
-            exhaustion[trace.exhausted_at] = exhaustion.get(trace.exhausted_at, 0) + 1
-        rows.extend(trace_rows(i, prog, trace))
-    low, high = wilson_interval(succeeded, cfg.trials)
-    aggregates = {
-        "traces": cfg.trials,
-        "succeeded": succeeded,
-        "success_rate": succeeded / cfg.trials,
-        "success_wilson95": [low, high],
-        "exhaustion_histogram": {str(k): v for k, v in sorted(exhaustion.items())},
-        **extra,
-    }
-    return _finish(cfg, rows, aggregates, started)
+def _hard_oracle(cfg: ExperimentConfig, i: int):
+    """Trial i of the adversary kind: its program and construction trace."""
+    prog = build_program(cfg.family, cfg.n, cfg.T, cfg.T - 1, cfg.tau_work,
+                         generator(cfg.seed, "adversary-prog", i))
+    trace = build_hard_oracle(prog, cfg.T, cfg.epsilon, generator(cfg.seed, "adversary", i))
+    return prog, trace
+
+
+def _trace_aggregates(exhausted) -> dict:
+    """Aggregates of both adversary runners, from each trace's exhausted_at
+    (None when the construction succeeded)."""
+    failed = Counter(e for e in exhausted if e is not None)
+    return {"traces": len(exhausted),
+            **_rate("succeeded", len(exhausted) - failed.total(), len(exhausted)),
+            "exhaustion_histogram": {str(k): failed[k] for k in sorted(failed)}}
 
 
 def run_adversary_trials(cfg: ExperimentConfig) -> ExperimentReport:
-    counts = {"premise_failures": 0, "raw_bound_violations": 0}
-
-    def trace_rows(i, prog, trace):
+    def trial(i):
+        prog, trace = _hard_oracle(cfg, i)
         if not trace.succeeded:
-            return []
+            return [], (trace.exhausted_at, 0, 0)
         report = adversary_bound_report(prog, trace, cfg.T, cfg.epsilon)
-        counts["premise_failures"] += sum(1 for p in report.premises if not p)
-        counts["raw_bound_violations"] += len(report.raw_violations())
-        tag = _seed_tag(cfg, i)
-        rows = []
-        if trace.t >= 1:
-            rows.append(_row(GapReport(f"pivot_invariant[trial={i}]",
-                                       trace.pivot_mass_max, trace.threshold), tag))
-        for rep in report.rows:
-            rows.append(_row(GapReport(f"{rep.context}[trial={i}]", rep.lhs, rep.rhs,
-                                       checked=rep.checked, extra=rep.extra), tag))
-        return rows
+        reports = [GapReport(f"pivot_invariant[trial={i}]", trace.pivot_mass_max,
+                             trace.threshold)] if trace.t >= 1 else []
+        reports += [GapReport(f"{rep.context}[trial={i}]", rep.lhs, rep.rhs,
+                              checked=rep.checked, extra=rep.extra) for rep in report.rows]
+        premise_failures = sum(1 for p in report.premises if not p)
+        return reports, (None, premise_failures, len(report.raw_violations()))
 
-    return _adversary_report(cfg, trace_rows, counts)
+    def aggregates(outcomes):
+        exhausted, premise_failures, raw_violations = zip(*outcomes)
+        return {**_trace_aggregates(exhausted), "premise_failures": sum(premise_failures),
+                "raw_bound_violations": sum(raw_violations)}
+
+    return _sweep(cfg, trial, aggregates)
 
 
 def run_pigeonhole_trials(cfg: ExperimentConfig) -> ExperimentReport:
-    started = time.perf_counter()
-    rows = []
     t = cfg.t if cfg.t is not None else max(1, int(np.sqrt(cfg.T) / 2))
-    changed = 0
-    for i in range(cfg.trials):
+
+    def trial(i):
         rng = generator(cfg.seed, "pigeonhole", i)
         prog = build_program(cfg.family, cfg.n, cfg.T, t, cfg.tau_work, rng)
         f = sample_uniform_oracle(cfg.n, rng)
         rep = pigeonhole_mutation_check(prog, f, cfg.T, BitWord.zero(cfg.n), rng)
-        tag = _seed_tag(cfg, i)
         e = rep.extra
-        changed += bool(e["result_changed"])
         distinct = bool(e["distinct_orbit"])
-        rows.append(_row(GapReport(f"row_mass[trial={i}]", e["max_row_sum"], 1.0), tag))
-        rows.append(_row(GapReport(f"column_floor[trial={i}]", e["column_sum"],
-                                   e["column_limit"], checked=distinct), tag))
-        rows.append(_row(GapReport(f"cauchy[trial={i}]", e["per_round_rhs"],
-                                   e["cauchy_rhs"]), tag))
-        rows.append(_row(GapReport(f"gap[trial={i}]", rep.lhs, rep.rhs,
-                                   extra={"j_star": e["j_star"]}), tag))
-        rows.append(_row(GapReport(f"gap_sqrtT[trial={i}]", rep.lhs, e["sqrtT_rhs"],
-                                   checked=distinct), tag))
-    aggregates = {"result_changed": changed, "t": t, "T": cfg.T}
-    return _finish(cfg, rows, aggregates, started)
+        return [
+            GapReport(f"row_mass[trial={i}]", e["max_row_sum"], 1.0),
+            GapReport(f"column_floor[trial={i}]", e["column_sum"], e["column_limit"],
+                      checked=distinct),
+            GapReport(f"cauchy[trial={i}]", e["per_round_rhs"], e["cauchy_rhs"]),
+            GapReport(f"gap[trial={i}]", rep.lhs, rep.rhs, extra={"j_star": e["j_star"]}),
+            GapReport(f"gap_sqrtT[trial={i}]", rep.lhs, e["sqrtT_rhs"], checked=distinct),
+        ], bool(e["result_changed"])
+
+    return _sweep(cfg, trial,
+                  lambda changed: {"result_changed": sum(changed), "t": t, "T": cfg.T})
+
+
+def _orbit_success(prog: QueryProgram, f, T: int) -> float:
+    """Success probability of prog on oracle f from the all-zero input, the
+    target being the T-th orbit word of that input."""
+    zero = BitWord.zero(f.width)
+    return success_probability(prog, f, zero, iterate(f, zero, T))
 
 
 def run_montecarlo_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -353,30 +349,17 @@ def run_montecarlo_trials(cfg: ExperimentConfig) -> ExperimentReport:
     is redrawn per trial, so the measured rate estimates that machine's
     success set and can be checked against an exact census.
     """
-    started = time.perf_counter()
-    rows = []
-    successes = 0
-    zero = BitWord.zero(cfg.n)
     prog = build_program(cfg.family, cfg.n, cfg.T, cfg.t, cfg.tau_work,
                          generator(cfg.seed, "montecarlo-prog", 0))
-    for i in range(cfg.trials):
-        rng = generator(cfg.seed, "montecarlo", i)
-        f = sample_uniform_oracle(cfg.n, rng)
-        target = iterate(f, zero, cfg.T)
-        p = success_probability(prog, f, zero, target)
+
+    def trial(i):
+        f = sample_uniform_oracle(cfg.n, generator(cfg.seed, "montecarlo", i))
+        p = _orbit_success(prog, f, cfg.T)
         ok = p >= cfg.success_threshold
-        successes += ok
-        rows.append(_row(GapReport(f"success_prob[trial={i}]", float(p),
-                                   cfg.success_threshold, checked=False,
-                                   extra={"success": bool(ok)}),
-                         _seed_tag(cfg, i)))
-    low, high = wilson_interval(successes, cfg.trials)
-    aggregates = {
-        "successes": successes,
-        "success_rate": successes / cfg.trials,
-        "success_wilson95": [low, high],
-    }
-    return _finish(cfg, rows, aggregates, started)
+        return [GapReport(f"success_prob[trial={i}]", p, cfg.success_threshold,
+                          checked=False, extra={"success": ok})], ok
+
+    return _sweep(cfg, trial, lambda oks: _rate("successes", sum(oks), cfg.trials))
 
 
 @dataclass
@@ -433,11 +416,7 @@ def exact_census(family, n: int, T: int, t: int | None = None,
         prog, family_name = family, "custom"
     else:
         prog, family_name = build_program(family, n, T, t, 0, 0), family
-    zero = BitWord.zero(n)
-    probs = []
-    for f in all_oracles(n):
-        target = iterate(f, zero, T)
-        probs.append(success_probability(prog, f, zero, target))
+    probs = [_orbit_success(prog, f, T) for f in all_oracles(n)]
     return CensusReport(n, prog.query_count, T, family_name, threshold,
                         2 ** (n * 2 ** n), probs)
 
@@ -449,15 +428,14 @@ def adversary_success_rate(family: str, n: int, T: int, epsilon: float,
                            trials=trials, seed=seed, family=family,
                            tau_work=tau_work).validate()
 
-    def trace_rows(i, prog, trace):
-        return [{
-            "context": f"trace[trial={i}]",
-            "lhs": float(trace.succeeded), "rhs": 0.0, "slack": 0.0,
-            "vacuous": False, "checked": False, "seed": _seed_tag(cfg, i),
-            "exhausted_at": trace.exhausted_at,
-        }]
+    def trial(i):
+        at = _hard_oracle(cfg, i)[1].exhausted_at
+        # the row records the outcome, not an inequality: extra pins its slack to 0
+        row = GapReport(f"trace[trial={i}]", at is None, 0.0, checked=False,
+                        extra={"slack": 0.0, "exhausted_at": at})
+        return [row], at
 
-    return _adversary_report(cfg, trace_rows, {})
+    return _sweep(cfg, trial, _trace_aggregates)
 
 
 _RUNNERS = {

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import qqlab
 from qqlab.cli import cli_main
 from qqlab.oracles import BitWord, make_oracle, save_oracle
@@ -84,6 +86,15 @@ class TestInputErrors:
         self.assert_input_error(["adversary", "--family", "classical-emulation",
                                  "--n", "2", "--T", "3"], capsys)
 
+    def test_non_finite_epsilon(self, capsys):
+        self.assert_input_error(["adversary", "--family", "random", "--n", "3", "--T", "3",
+                                 "--epsilon", "nan"], capsys)
+
+    @pytest.mark.parametrize("kind", ["montecarlo", "pigeonhole", "census"])
+    def test_truncated_rounds_beyond_T(self, kind, capsys):
+        self.assert_input_error([kind, "--family", "truncated-emulation", "--n", "2",
+                                 "--T", "3", "--t", "5"], capsys)
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
@@ -159,6 +170,12 @@ class TestCensusCommand:
 
     def test_census_gate_needs_flag(self, capsys):
         assert cli_main(["census", "--n", "3", "--T", "2"]) == 2
+
+    @pytest.mark.parametrize("flag", ["--tau-work", "--seed"])
+    def test_census_takes_no_work_qubits_or_seed(self, flag, capsys):
+        # census programs are built with neither, so the flags are refused
+        assert cli_main(["census", "--family", "random", "--n", "2", "--T", "3",
+                         flag, "4"]) == 2
 
 
 class TestExitOnViolation:

@@ -39,6 +39,17 @@ class TestConfig:
             cfg(kind="adversary", family="classical-emulation", n=2, T=3)
         cfg(kind="adversary", family="truncated-emulation", n=2, T=3)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ConfigError, match="epsilon"):
+            cfg(kind="adversary", family="random", n=3, T=3, epsilon=epsilon)
+
+    @pytest.mark.parametrize("kind", ["pigeonhole", "montecarlo", "census"])
+    def test_truncated_family_keeps_at_most_T_rounds(self, kind):
+        with pytest.raises(ConfigError, match="truncated-emulation"):
+            cfg(kind=kind, family="truncated-emulation", n=2, T=3, t=5)
+        cfg(kind=kind, family="truncated-emulation", n=2, T=3, t=3)
+
     def test_census_width_gate(self):
         with pytest.raises(ConfigError):
             cfg(kind="census", n=3)
