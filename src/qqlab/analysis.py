@@ -19,9 +19,11 @@ Two kinds of facts are handled very differently here:
   programs, and reported as such).
 
 The construction and the bound report step their chains with the same
-primitive as `programs.run`, so permutation-only programs run on one basis
-index here too.  The report takes the evolving-oracle chain from the trace
-and steps only the fixed-final-oracle and fresh-oracle chains.
+primitive as `programs.run`, so on permutation-only programs every state,
+the recorded ones included, stays in the index form of `StateVector`.  The
+report steps the trace's own states under the fixed-final and fresh
+oracles.  `lemma2_check` and the mass matrix read `programs.chain` as a
+stream, keeping running sums and the final state only.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import QqlabError, TraceNotSucceededError
 from .oracles import (BitWord, OracleTable, WordSet, diff_set, iterate, mutate,
                       orbit, sample_uniform_oracle)
-from .programs import QueryProgram, _resume, _step, _vector, run, run_final
+from .programs import QueryProgram, _step, chain, initial_state, run_final
 from .qsim import (StateVector, apply_query, l2_distance, oracle_distance,
                    query_mass, query_masses)
 from .rng import as_generator
@@ -83,14 +85,13 @@ def lemma2_check(prog: QueryProgram, f: OracleTable, a: BitWord, y: BitWord,
     """Hybrid bound: a single-word mutation moves the final state by at most
     twice the summed root query masses on that word across the rounds."""
     g = mutate(f, a, y)
-    trace = run(prog, f, input_word)
-    final_g = run_final(prog, g, input_word)
-    lhs = l2_distance(trace.states[-1], final_g)
-    if g == f:
-        rhs = 0.0  # no word actually differs, so the mass sum is empty
-    else:
-        rhs = 2.0 * sum(np.sqrt(query_mass(trace.states[i], a))
-                        for i in range(prog.query_count))
+    roots = 0  # running sum over the pre-query states; the last state is final
+    for i, state in enumerate(chain(prog, f, input_word)):
+        if i < prog.query_count:
+            roots += np.sqrt(query_mass(state, a))
+    lhs = l2_distance(state, run_final(prog, g, input_word))
+    # when g == f no word actually differs, so the mass sum is empty
+    rhs = 0.0 if g == f else 2.0 * roots
     return GapReport(context, lhs, rhs,
                      extra={"mutated_word": str(a), "new_value": str(y)})
 
@@ -164,8 +165,7 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
     zero = BitWord.zero(n)
     full = WordSet(n, frozenset(range(size)))
 
-    chi = _step(prog, 0, 0, f)  # the all-zero input is basic state 0
-    state = _vector(layout, chi)
+    state = _step(prog, initial_state(layout, zero), 0, f)
     masses = query_masses(state)
     steps = [AdversaryStep(state, f, full, zero, masses)]
     available = masses < threshold
@@ -175,8 +175,7 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
                               succeeded=False, exhausted_at=at)
 
     for i in range(t):
-        chi = _step(prog, chi, i + 1, steps[-1].oracle)
-        state = _vector(layout, chi)
+        state = _step(prog, state, i + 1, steps[-1].oracle)
         masses = query_masses(state)
         available = available & (masses < threshold)
         if not available.any():
@@ -186,10 +185,9 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
         f = mutate(steps[-1].oracle, steps[-1].pivot, pivot)
         steps.append(AdversaryStep(state, f, candidates, pivot, masses))
 
-    final_candidates = WordSet(n, frozenset(int(v) for v in np.nonzero(available)[0]))
-    current = int(steps[-1].oracle.values[steps[-1].pivot.value])
-    choices = np.nonzero(available)[0]
-    choices = choices[choices != current]
+    survivors = np.nonzero(available)[0]
+    final_candidates = WordSet(n, frozenset(int(v) for v in survivors))
+    choices = survivors[survivors != steps[-1].oracle.values[steps[-1].pivot.value]]
     if len(choices) == 0:
         return fail(t + 1)
     final_value = BitWord(n, int(rng.choice(choices)))
@@ -273,15 +271,14 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     # per round: the premise (every disagreement word of (f_i, f_final) light
     # in state i) and the sensitivity of state i to the oracle swap; round i
     # under the evolving oracle is the trace's own next state
-    chis = [_resume(prog, step.state) for step in trace.steps]
     premises, premise_masses, deltas = [], [], []
     for i in range(t):
         diff = diff_set(trace.steps[i].oracle, f_final)
         worst = max((float(trace.steps[i].masses[w.value]) for w in diff), default=0.0)
         premise_masses.append(worst)
         premises.append(worst < threshold)
-        a_final = _vector(layout, _step(prog, chis[i], i + 1, f_final)).amplitudes
-        deltas.append(float(np.linalg.norm(trace.steps[i + 1].state.amplitudes - a_final)))
+        deltas.append(l2_distance(trace.steps[i + 1].state,
+                                  _step(prog, trace.steps[i].state, i + 1, f_final)))
 
     # fixed-final-oracle chain: drifts, pivot roots, and the triangle step,
     # all recorded in one pass (exact identities raise; they can only fail
@@ -289,7 +286,6 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     drifts = [0.0]
     pivot_roots_primed = []
     primed = trace.steps[0].state
-    chi = chis[0]
     for i in range(t + 1):
         root_primed = float(np.sqrt(query_mass(primed, x_t)))
         pivot_roots_primed.append(root_primed)
@@ -302,16 +298,15 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
             raise QqlabError(
                 f"drift recursion failed at i={i}: {drifts[i]} > {sum(deltas[:i])}")
         if i < t:
-            chi = _step(prog, chi, i + 1, f_final)
-            primed = _vector(layout, chi)
+            primed = _step(prog, primed, i + 1, f_final)
             drifts.append(l2_distance(trace.steps[i + 1].state, primed))
 
     # chain under the freshly redirected oracle
     f_fresh = mutate(f_final, x_t, trace.final_value)
-    chi = chis[0]
+    fresh = trace.steps[0].state
     for i in range(t):
-        chi = _step(prog, chi, i + 1, f_fresh)
-    final_gap = l2_distance(primed, _vector(layout, chi))
+        fresh = _step(prog, fresh, i + 1, f_fresh)
+    final_gap = l2_distance(primed, fresh)
 
     chain_rhs = 2.0 * sum(pivot_roots_primed[:t])
     if final_gap > chain_rhs + TOL:
@@ -371,25 +366,25 @@ def _mass_matrix_and_final_state(prog: QueryProgram, f: OracleTable, T: int,
     t = prog.query_count
     if T < 1:
         raise ValueError("need T >= 1 orbit words")
-    trace = run(prog, f, input_word)
     words = tuple(orbit(f, input_word, T))
     values = np.array([w.value for w in words])
     unique = np.unique(values)
     entries = np.zeros((t, T))
     row_sums = np.zeros(t)
-    for i in range(t):
-        masses = query_masses(trace.states[i])
-        entries[i] = masses[values]
-        row_sums[i] = masses[unique].sum()
-        if row_sums[i] > 1.0 + TOL:
-            raise QqlabError(f"row {i} mass {row_sums[i]} exceeds 1")
+    for i, final in enumerate(chain(prog, f, input_word)):
+        if i < t:  # the last state of the chain is the final one
+            masses = query_masses(final)
+            entries[i] = masses[values]
+            row_sums[i] = masses[unique].sum()
+            if row_sums[i] > 1.0 + TOL:
+                raise QqlabError(f"row {i} mass {row_sums[i]} exceeds 1")
     col_sums = entries.sum(axis=0)
     distinct = len(unique) == T
     floor = float(col_sums.min()) if T else 0.0
     limit = t / T if distinct else float(col_sums.sum()) / T
     if floor > limit + TOL:
         raise QqlabError(f"pigeonhole failed: min column {floor} > {limit}")
-    return MassMatrix(entries, row_sums, col_sums, words, t, T, distinct), trace.states[-1]
+    return MassMatrix(entries, row_sums, col_sums, words, t, T, distinct), final
 
 
 def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,

@@ -5,7 +5,9 @@ Exit status: 0 on success, 1 if any checked inequality row has slack below
 flags, malformed oracle or config files, a bad QQLAB_QUBIT_CAP, or a
 layout over the qubit cap.
 
-Flag precedence: explicit flags > --config file > built-in defaults.
+Each experiment kind takes the flags, and a --config file the fields, that
+it reads (harness.KIND_FIELDS); anything else exits 2.  Precedence:
+explicit flags > fields the --config file sets > built-in defaults.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import sys
 from . import __version__
 from .errors import (CapExceededError, InputError, LengthMismatchError, QqlabError,
                      WidthMismatchError)
-from .harness import (CSV_SCHEMA, CSV_VERSION, FAMILIES, ExperimentConfig,
-                      exact_census, monte_carlo)
+from .harness import (CSV_SCHEMA, CSV_VERSION, FAMILIES, KIND_FIELDS, ExperimentConfig,
+                      exact_census, monte_carlo, read_config)
 from .oracles import BitWord, iterate, load_oracle
 from .qsim import qubit_cap
 
@@ -29,53 +31,52 @@ def _count(text: str) -> int:
     return k
 
 
-def _add_common(p, needs_T=False, seeded=True):
-    p.add_argument("--n", type=int, help="query word width (default 2)")
-    if seeded:
-        p.add_argument("--tau-work", type=int, help="working qubits (default 2)")
-        p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--trials", type=int, help="number of trials (default 100)")
-    p.add_argument("--out", help="CSV output path (a .json sibling is written too)")
-    p.add_argument("--config", help="JSON config file; explicit flags override it")
-    p.add_argument("--family", choices=FAMILIES, help="program family")
-    if needs_T:
-        p.add_argument("--T", type=int, dest="T", help="iteration count")
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+# config field -> its flag and argparse keywords; each experiment kind takes
+# the flags of the fields it reads (KIND_FIELDS), plus --config
+_FLAGS = {
+    "family": ("--family", {"choices": FAMILIES, "help": "program family"}),
+    "n": ("--n", {"type": int, "help": "query word width (default 2)"}),
+    "tau_work": ("--tau-work", {"type": int, "help": "working qubits (default 2)"}),
+    "T": ("--T", {"type": int, "help": "iteration count"}),
+    "t": ("--t", {"type": int, "help": "rounds (default T - 1; lemma2: at most 6; "
+                                       "pigeonhole: ~ sqrt(T)/2)"}),
+    "epsilon": ("--epsilon", {"type": float, "help": "threshold exponent offset (default 1)"}),
+    "success_threshold": ("--threshold", {"type": float,
+                                          "help": "success threshold (default 2/3)"}),
+    "allow_large_census": ("--allow-large", {"action": "store_const", "const": True,
+                                             "help": "allow a census beyond n=2"}),
+    "trials": ("--trials", {"type": int, "help": "number of trials (default 100)"}),
+    "seed": ("--seed", {"type": int, "help": "master seed (default 0)"}),
+    "output_path": ("--out", {"help": "CSV output path (a .json sibling is written too)"}),
+}
+_HELP = {
+    "lemma1": "single-query oracle-change inequality sweep",
+    "lemma2": "single-word mutation hybrid bound sweep",
+    "adversary": "hard-oracle construction and bound report",
+    "pigeonhole": "orbit query-mass matrix mutation check",
+    "census": "exact success census over every oracle",
+    "montecarlo": "success-rate sampling over random oracles",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qqlab",
         description="Quantum query computation laboratory: seeded inequality "
                     "sweeps, adversarial oracle constructions, and exact census "
                     "experiments over black-box functions.")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("lemma1", help="single-query oracle-change inequality sweep")
-    _add_common(p)
-
-    p = sub.add_parser("lemma2", help="single-word mutation hybrid bound sweep")
-    _add_common(p)
-    p.add_argument("--t", type=int, help="maximum rounds per random program (default 6)")
-
-    p = sub.add_parser("adversary", help="hard-oracle construction and bound report")
-    _add_common(p, needs_T=True)
-    p.add_argument("--epsilon", type=float, help="threshold exponent offset (default 1)")
-
-    p = sub.add_parser("pigeonhole", help="orbit query-mass matrix mutation check")
-    _add_common(p, needs_T=True)
-    p.add_argument("--t", type=int, help="rounds (default ~ sqrt(T)/2)")
-
-    p = sub.add_parser("census", help="exact success census over every oracle")
-    # census programs are built with no working qubits and no seed
-    _add_common(p, needs_T=True, seeded=False)
-    p.add_argument("--t", type=int, help="rounds for truncated families")
-    p.add_argument("--threshold", type=float, help="success threshold (default 2/3)")
-    p.add_argument("--allow-large", action="store_true")
-
-    p = sub.add_parser("montecarlo", help="success-rate sampling over random oracles")
-    _add_common(p, needs_T=True)
-    p.add_argument("--t", type=int)
-    p.add_argument("--threshold", type=float, help="success threshold (default 2/3)")
+    for kind, fields in KIND_FIELDS.items():
+        p = sub.add_parser(kind, help=_HELP[kind])
+        for name in fields:
+            flag, kwargs = _FLAGS[name]
+            p.add_argument(flag, dest=name, **kwargs)
+        p.add_argument("--config", help="JSON config file; explicit flags override it")
 
     p = sub.add_parser("iterate", help="apply an oracle file k times to a word")
     p.add_argument("--oracle", required=True, help="oracle text file")
@@ -86,30 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# config field -> CLI attribute
-_FIELD_TO_FLAG = {
-    "n": "n", "tau_work": "tau_work", "t": "t", "T": "T", "epsilon": "epsilon",
-    "trials": "trials", "seed": "seed", "success_threshold": "threshold",
-    "family": "family", "output_path": "out",
-}
-
-_CLI_DEFAULTS = {"trials": 100}
-
-
 def _config_from_args(kind: str, args) -> ExperimentConfig:
-    values = {"kind": kind, **_CLI_DEFAULTS}
-    if getattr(args, "config", None):
-        file_cfg = ExperimentConfig.from_file(args.config, kind=kind)
-        values.update({k: v for k, v in file_cfg.__dict__.items() if k != "kind"})
-    for field, attr in _FIELD_TO_FLAG.items():
-        if getattr(args, attr, None) is not None:
-            values[field] = getattr(args, attr)
-    if kind == "census":
-        values.setdefault("family", "classical-emulation")
-        values.setdefault("T", 3)
-        values["trials"] = values.get("trials") or 1
-        values["allow_large_census"] = bool(getattr(args, "allow_large", False))
-    return ExperimentConfig(**values).validate()
+    # command-line defaults that differ from ExperimentConfig's; a config file
+    # overrides them with the fields it sets, and explicit flags override both
+    values = {"family": "classical-emulation", "T": 3} if kind == "census" else {"trials": 100}
+    if args.config:
+        values.update(read_config(args.config, kind))
+    values.update((name, getattr(args, name)) for name in KIND_FIELDS[kind]
+                  if getattr(args, name) is not None)
+    return ExperimentConfig(**{**values, "kind": kind}).validate()
 
 
 def _print_summary(report) -> int:
@@ -149,8 +135,8 @@ def cli_main(argv=None) -> int:
             print(iterate(f, x, args.k))
             return 0
 
+        cfg = _config_from_args(args.command, args)
         if args.command == "census":
-            cfg = _config_from_args("census", args)
             report = exact_census(cfg.family, cfg.n, cfg.T, t=cfg.t,
                                   threshold=cfg.success_threshold,
                                   allow_large=cfg.allow_large_census)
@@ -159,10 +145,7 @@ def cli_main(argv=None) -> int:
             if cfg.output_path:
                 report.write(cfg.output_path)
             return 0
-
-        cfg = _config_from_args(args.command, args)
-        report = monte_carlo(cfg)
-        return _print_summary(report)
+        return _print_summary(monte_carlo(cfg))
 
     # width and length mismatches reach here only from the words and oracle
     # files given on the command line

@@ -33,7 +33,19 @@ from .rng import generator
 
 CSV_SCHEMA = "context,lhs,rhs,slack,vacuous,checked,seed"
 CSV_VERSION = "qqlab-report v1"
-KINDS = ("lemma1", "lemma2", "adversary", "pigeonhole", "census", "montecarlo")
+# the config fields each experiment kind reads (besides kind); config files
+# and the command line accept only these
+KIND_FIELDS = {
+    "lemma1": ("n", "tau_work", "trials", "seed", "output_path"),
+    "lemma2": ("n", "tau_work", "t", "trials", "seed", "output_path"),
+    "adversary": ("family", "n", "tau_work", "T", "epsilon", "trials", "seed", "output_path"),
+    "pigeonhole": ("family", "n", "tau_work", "T", "t", "trials", "seed", "output_path"),
+    "census": ("family", "n", "T", "t", "success_threshold", "allow_large_census",
+               "output_path"),
+    "montecarlo": ("family", "n", "tau_work", "T", "t", "success_threshold", "trials",
+                   "seed", "output_path"),
+}
+KINDS = tuple(KIND_FIELDS)
 FAMILIES = ("classical-emulation", "truncated-emulation", "random", "concentrated")
 DEFAULT_THRESHOLD = 2.0 / 3.0
 
@@ -121,24 +133,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path, kind: str | None = None) -> "ExperimentConfig":
-        """Load fields from a JSON file; `kind` fills in when the file has
-        none.  Validation is the caller's job (flags may still override)."""
-        with open(path) as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}: not valid JSON: {e}") from None
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        bad = set(obj) - known
-        if bad:
-            raise ConfigError(f"unknown config keys {sorted(bad)}")
-        if "kind" not in obj:
-            if kind is None:
-                raise ConfigError("config file needs a 'kind' field")
-            obj["kind"] = kind
-        return cls(**obj)
+        """Load a config file (see `read_config`); fields it leaves out take
+        the defaults.  Validation is the caller's job."""
+        return cls(**read_config(path, kind))
+
+
+def read_config(path, kind: str | None = None) -> dict:
+    """The fields a JSON config file sets, kind included.  `kind` fills in
+    when the file has none and must match the file's when both are given;
+    the file may set only the fields its kind reads (KIND_FIELDS), so an
+    unknown key is refused too."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: not valid JSON: {e}") from None
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    file_kind = obj.setdefault("kind", kind)
+    if file_kind not in KINDS:
+        raise ConfigError(f"config file needs a 'kind' field, one of {KINDS}")
+    if kind is not None and file_kind != kind:
+        raise ConfigError(f"config file is for {file_kind!r}, not {kind!r}")
+    unread = sorted(set(obj) - {"kind", *KIND_FIELDS[file_kind]})
+    if unread:
+        raise ConfigError(f"config keys {unread} are not fields a {file_kind} run reads")
+    return obj
 
 
 def build_program(family: str, n: int, T: int, t: int | None,

@@ -12,8 +12,9 @@ anything between calls, and none holds more than two state-sized
 temporaries at once.
 
 A state with one nonzero amplitude 1 stays one under permutation gates and
-the XOR query, so it can be carried as its flat index alone:
-`permute_index` and `query_index` step such an index exactly as
+the XOR query, so it can be carried as its flat index alone (the index
+form of `qsim.StateVector`): `permute_index` and `query_index` step such
+an index exactly as
 `apply_permutation_inplace` and `apply_query` move the amplitude, with the
 same bit conventions and no array of length 2**nbits.
 """

@@ -9,6 +9,7 @@ table.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -185,15 +186,8 @@ def diff_set(f: OracleTable, g: OracleTable) -> WordSet:
 
 def all_oracles(n: int) -> Iterator[OracleTable]:
     """Every table of width n, in lexicographic table order (2**(n*2**n) of them)."""
-    size, base = 1 << n, 1 << n
-    values = np.zeros(size, dtype=np.int64)
-    total = base ** size
-    for code in range(total):
-        c = code
-        for i in range(size - 1, -1, -1):
-            values[i] = c % base
-            c //= base
-        yield OracleTable(n, values.copy())
+    for values in itertools.product(range(1 << n), repeat=1 << n):
+        yield OracleTable(n, np.array(values, dtype=np.int64))
 
 
 def oracle_to_text(f: OracleTable) -> str:

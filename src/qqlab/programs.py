@@ -10,22 +10,20 @@ working qubits, every other qubit starts at 0.  Output convention: the
 result is read verbatim off the program's output region.
 
 One private primitive, `_step`, steps every chain one block at a time
-under an oracle given per call: `run`, `run_final`, `success_probability`
-and the adversary construction and bound report in `analysis` all use it.
+under an oracle given per call; `chain` (and through it `run`, `run_final`
+and `success_probability`) and the adversary code in `analysis` use it.
 Whether every gate is a 0/1 permutation is worked out once per program.
 Such a program (the classical-emulation, truncated-emulation and
 concentrated families) keeps a basic input on one basic state with
-amplitude exactly 1, since the XOR query is a permutation too, so its
-chain is carried as that state's flat index: exact and bit-identical to
-the dense path.  Only the states a caller gets back are built as arrays,
-and `success_probability` builds none.  Every other program runs on a
-dense 2**N buffer.
+amplitude exactly 1, since the XOR query is a permutation too, so every
+chain state stays a `StateVector` in the index form: exact, bit-identical
+to the dense path, and its amplitudes built only if a caller reads them.
+Every other program runs on a dense 2**N buffer.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,83 +85,63 @@ class Trace:
     query_count: int
 
 
-def _initial_index(layout: QubitLayout, input_word: BitWord) -> int:
+def initial_state(layout: QubitLayout, input_word: BitWord) -> StateVector:
+    """The input word on the first n working qubits, in the index form."""
     n = layout.query_width
     if input_word.width != n:
         raise WidthMismatchError(f"input width {input_word.width} != query width {n}")
     if input_word.value != 0 and layout.work_count < n:
         raise LayoutMismatchError(
             f"nonzero input needs {n} working qubits, layout has {layout.work_count}")
-    return sum(1 << layout.index_bit(p) for p, b in enumerate(input_word.bits) if b)
+    return StateVector.basic(
+        layout, sum(1 << layout.index_bit(p) for p, b in enumerate(input_word.bits) if b))
 
 
-def _basis_amplitudes(layout: QubitLayout, index: int) -> np.ndarray:
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return amps
-
-
-def initial_state(layout: QubitLayout, input_word: BitWord) -> StateVector:
-    return StateVector(layout, _basis_amplitudes(layout, _initial_index(layout, input_word)))
-
-
-def _vector(layout: QubitLayout, chi) -> StateVector:
-    return StateVector(layout, _basis_amplitudes(layout, chi) if isinstance(chi, int) else chi)
-
-
-def _resume(prog: QueryProgram, state: StateVector):
-    """A recorded chain state as `_step` carries it: a flat index for a basic
-    state with amplitude 1 of a permutation-only program, else amplitudes."""
-    amps = state.amplitudes
-    if prog._permutations is not None:
-        nonzero = np.flatnonzero(amps)
-        if len(nonzero) == 1 and amps[nonzero[0]] == 1.0:
-            return int(nonzero[0])
-    return amps
-
-
-def _step(prog: QueryProgram, chi, block: int, f: OracleTable):
+def _step(prog: QueryProgram, state: StateVector, block: int, f: OracleTable) -> StateVector:
     """One block of the state chain.  Block 0 is the prelude and takes the
-    flat index of the input basis state; block i + 1 is the query under f
-    plus the gates of round i and takes chi_i.  Returns the next chain
-    state: a flat index if the program is permutation-only and chi is one,
-    otherwise a fresh dense buffer (the input buffer is never written)."""
+    input basis state; block i + 1 is the query under f plus the gates of
+    round i and takes chi_i.  A permutation-only program steps a state in
+    the index form as its index; otherwise the next state is a fresh dense
+    buffer (the input state is never written)."""
     layout = prog.layout
-    if isinstance(chi, int):
-        if prog._permutations is not None:
-            if block:
-                chi = kernels.query_index(chi, layout.query_width, f.values)
-            for bits, perm in prog._permutations[block]:
-                chi = kernels.permute_index(chi, bits, perm)
-            return chi
-        chi = _basis_amplitudes(layout, chi)
+    if state.index is not None and prog._permutations is not None:
+        index = state.index
+        if block:
+            index = kernels.query_index(index, layout.query_width, f.values)
+        for bits, perm in prog._permutations[block]:
+            index = kernels.permute_index(index, bits, perm)
+        return StateVector.basic(layout, index)
     if block:
-        chi = kernels.apply_query(chi, layout.total, layout.query_width, f.values)
+        amps = kernels.apply_query(state.amplitudes, layout.total, layout.query_width, f.values)
+    else:
+        amps = state.buffer()
     for g in prog.rounds[block - 1] if block else prog.prelude:
-        kernels.apply_matrix_inplace(chi, layout.total, layout.index_bits(g.targets), g.matrix)
-    return chi
+        kernels.apply_matrix_inplace(amps, layout.total, layout.index_bits(g.targets), g.matrix)
+    return StateVector(layout, amps)
 
 
-def _chain(prog: QueryProgram, f: OracleTable, input_word: BitWord):
-    """chi_0..chi_t under f, one at a time."""
+def chain(prog: QueryProgram, f: OracleTable, input_word: BitWord):
+    """chi_0..chi_t under f, one at a time: a caller that needs only running
+    sums over the chain holds one state, not t + 1."""
     if f.width != prog.layout.query_width:
         raise WidthMismatchError(
             f"oracle width {f.width} != query width {prog.layout.query_width}")
-    chi = _initial_index(prog.layout, input_word)
+    state = initial_state(prog.layout, input_word)
     for block in range(prog.query_count + 1):
-        chi = _step(prog, chi, block, f)
-        yield chi
+        state = _step(prog, state, block, f)
+        yield state
 
 
 def run(prog: QueryProgram, f: OracleTable, input_word: BitWord) -> Trace:
     """Execute and keep the whole state chain."""
-    states = tuple(_vector(prog.layout, chi) for chi in _chain(prog, f, input_word))
-    return Trace(states, prog.query_count)
+    return Trace(tuple(chain(prog, f, input_word)), prog.query_count)
 
 
 def run_final(prog: QueryProgram, f: OracleTable, input_word: BitWord) -> StateVector:
     """Execute keeping only the final state (memory-light path for sweeps)."""
-    return _vector(prog.layout, deque(_chain(prog, f, input_word), maxlen=1)[0])
+    for state in chain(prog, f, input_word):
+        pass
+    return state
 
 
 def output_distribution(prog: QueryProgram, final_state: StateVector) -> np.ndarray:
@@ -179,11 +157,11 @@ def success_probability(prog: QueryProgram, f: OracleTable, input_word: BitWord,
     if target.width != len(prog.output_region):
         raise WidthMismatchError(
             f"target width {target.width} != output region size {len(prog.output_region)}")
-    final = deque(_chain(prog, f, input_word), maxlen=1)[0]
-    if isinstance(final, int):
-        bits = prog.layout.index_bits(prog.output_region)
-        return float(kernels.read_bits(final, bits) == target.value)
-    return float(output_distribution(prog, StateVector(prog.layout, final))[target.value])
+    final = run_final(prog, f, input_word)
+    if final.index is not None:
+        return float(kernels.read_bits(final.index, prog.layout.index_bits(prog.output_region))
+                     == target.value)
+    return float(output_distribution(prog, final)[target.value])
 
 
 def classical_emulation_program(n: int, T: int) -> QueryProgram:
@@ -246,10 +224,7 @@ def truncate_after_query(prog: QueryProgram, k: int) -> QueryProgram:
 # program files
 
 def _gate_to_obj(g: LocalUnitary) -> dict:
-    flat = []
-    for row in g.matrix:
-        for z in row:
-            flat.append([float(z.real), float(z.imag)])
+    flat = [[float(z.real), float(z.imag)] for z in g.matrix.ravel()]
     return {"targets": list(g.targets), "matrix": flat}
 
 

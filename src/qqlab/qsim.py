@@ -14,8 +14,11 @@ Register/encoding conventions (fixed, relied on by the file formats):
   target list, first target most significant.
 
 States are values: every operation returns a fresh vector and never
-mutates its inputs.  The total qubit count is capped (default 24, about
-16M amplitudes); set QQLAB_QUBIT_CAP to override.
+mutates its inputs.  A basic state with amplitude 1 may be held in the
+index form, its flat index alone (`StateVector.basic`): query masses and
+distances between two such states are read off the indices; anything else
+reads its amplitudes, built once on first use.  The total qubit count is
+capped (default 24, about 16M amplitudes); set QQLAB_QUBIT_CAP to override.
 """
 
 from __future__ import annotations
@@ -119,24 +122,50 @@ class BasisAssignment:
         return BitWord.from_bits(self.bits[p] for p in positions)
 
 
-@dataclass(frozen=True)
 class StateVector:
     """Complex amplitudes over the basic states of a layout.
 
     Computation states are unit norm; difference vectors are allowed to
     carry any norm (query masses remain meaningful on them).
+
+    A basic state with amplitude 1 can be held as its flat `index` alone
+    (`StateVector.basic`); its read-only `amplitudes` are then built on
+    first access and kept.  A state given by its amplitudes has index None.
+    Treat both attributes as read-only.
     """
 
-    layout: QubitLayout
-    amplitudes: np.ndarray = field(compare=False)
+    __slots__ = ("layout", "index", "_amplitudes")
 
-    def __post_init__(self):
-        a = np.asarray(self.amplitudes, dtype=np.complex128)
-        if a.shape != (self.layout.dim,):
-            raise LayoutMismatchError(
-                f"expected {self.layout.dim} amplitudes, got {a.shape}")
+    def __init__(self, layout: QubitLayout, amplitudes):
+        a = np.asarray(amplitudes, dtype=np.complex128)
+        if a.shape != (layout.dim,):
+            raise LayoutMismatchError(f"expected {layout.dim} amplitudes, got {a.shape}")
         a.flags.writeable = False
-        object.__setattr__(self, "amplitudes", a)
+        self.layout, self.index, self._amplitudes = layout, None, a
+
+    @classmethod
+    def basic(cls, layout: QubitLayout, index: int) -> "StateVector":
+        """The basic state at a flat index, amplitude 1, with no array."""
+        if not 0 <= index < layout.dim:
+            raise LayoutMismatchError(f"index {index} outside 0..{layout.dim - 1}")
+        state = cls.__new__(cls)
+        state.layout, state.index, state._amplitudes = layout, index, None
+        return state
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._amplitudes is None:
+            self._amplitudes = self.buffer()
+            self._amplitudes.flags.writeable = False
+        return self._amplitudes
+
+    def buffer(self) -> np.ndarray:
+        """A fresh writable copy of the amplitudes."""
+        if self._amplitudes is not None:
+            return self._amplitudes.copy()
+        a = np.zeros(self.layout.dim, dtype=np.complex128)
+        a[self.index] = 1.0
+        return a
 
     @property
     def norm(self) -> float:
@@ -176,12 +205,8 @@ def basis_state(layout: QubitLayout, assignment: BasisAssignment) -> StateVector
     if len(assignment.bits) != layout.total:
         raise LayoutMismatchError(
             f"assignment covers {len(assignment.bits)} positions, layout has {layout.total}")
-    index = 0
-    for p, b in enumerate(assignment.bits):
-        index |= b << layout.index_bit(p)
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(layout, amps)
+    return StateVector.basic(layout, sum(b << layout.index_bit(p)
+                                         for p, b in enumerate(assignment.bits)))
 
 
 def _check_targets(layout: QubitLayout, u: LocalUnitary) -> tuple[int, ...]:
@@ -194,7 +219,7 @@ def _check_targets(layout: QubitLayout, u: LocalUnitary) -> tuple[int, ...]:
 def apply_local_unitary(state: StateVector, u: LocalUnitary) -> StateVector:
     """The working transform: u on its targets, identity elsewhere."""
     bits = _check_targets(state.layout, u)
-    amps = state.amplitudes.copy()
+    amps = state.buffer()
     kernels.apply_matrix_inplace(amps, state.layout.total, bits, u.matrix)
     return StateVector(state.layout, amps)
 
@@ -210,7 +235,10 @@ def apply_query(state: StateVector, f: OracleTable) -> StateVector:
 
 def query_masses(vector: StateVector) -> np.ndarray:
     """Mass on every address word at once (length 2**n array)."""
-    return kernels.address_masses(vector.amplitudes, vector.layout.query_width)
+    n = vector.layout.query_width
+    if vector.index is not None:  # one-hot on the state's address word
+        return (np.arange(1 << n) == (vector.index & ((1 << n) - 1))).astype(np.float64)
+    return kernels.address_masses(vector.amplitudes, n)
 
 
 def query_mass(vector: StateVector, a: BitWord) -> float:
@@ -222,6 +250,8 @@ def query_mass(vector: StateVector, a: BitWord) -> float:
     n = vector.layout.query_width
     if a.width != n:
         raise WidthMismatchError(f"word width {a.width} != query width {n}")
+    if vector.index is not None:
+        return float(vector.index & ((1 << n) - 1) == a.value)
     block = vector.amplitudes.reshape(-1, 1 << n)[:, a.value]
     return float((block.real ** 2 + block.imag ** 2).sum())
 
@@ -240,6 +270,8 @@ def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float
 def l2_distance(v1: StateVector, v2: StateVector) -> float:
     if v1.layout != v2.layout:
         raise LayoutMismatchError("states use different layouts")
+    if v1.index is not None and v2.index is not None:
+        return 0.0 if v1.index == v2.index else float(np.sqrt(2.0))
     return float(np.linalg.norm(v1.amplitudes - v2.amplitudes))
 
 
@@ -298,9 +330,6 @@ def random_gate(targets, rng: np.random.Generator) -> LocalUnitary:
 
 def state_dump(state: StateVector, nonzero_only: bool = True) -> str:
     """Debug dump: one "index re im" line per amplitude, 17 significant digits."""
-    lines = []
-    for i, amp in enumerate(state.amplitudes):
-        if nonzero_only and amp == 0:
-            continue
-        lines.append(f"{i} {amp.real:.17g} {amp.imag:.17g}")
+    lines = [f"{i} {amp.real:.17g} {amp.imag:.17g}"
+             for i, amp in enumerate(state.amplitudes) if amp != 0 or not nonzero_only]
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -414,3 +416,29 @@ def assert_report_matches(prog, trace, ref, T):
     assert rep.drifts == [l2_distance(a, b) for a, b in zip(ref, primed)]
     assert rep.pivot_roots_primed == [float(np.sqrt(query_mass(p, x_t))) for p in primed]
     assert rep.final_gap == l2_distance(primed[-1], fresh)
+
+
+class TestStreamedChains:
+    """lemma2 and the mass matrix need only running sums and the final
+    state, so their peak memory does not grow with the round count."""
+
+    @pytest.mark.parametrize("check", ["lemma2", "mass_matrix"])
+    def test_peak_does_not_grow_with_rounds(self, check):
+        rng = generator(61, "streamed", 0)
+        prog6 = random_program(8, 2, 6, rng)  # 18 qubits: 4 MiB per state
+        f = sample_uniform_oracle(8, rng)
+        a, y, x = BitWord(8, 3), BitWord(8, 200), BitWord.zero(8)
+
+        def peak(prog):
+            tracemalloc.start()
+            try:
+                if check == "lemma2":
+                    lemma2_check(prog, f, a, y, x)
+                else:
+                    query_mass_matrix(prog, f, 8, x)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        state_bytes = 16 * prog6.layout.dim
+        assert peak(prog6) <= peak(truncate_after_query(prog6, 2)) + state_bytes

@@ -96,6 +96,64 @@ class TestInputErrors:
                                  "--T", "3", "--t", "5"], capsys)
 
 
+class TestConfigPrecedence:
+    """A config file overrides the command-line defaults only with the
+    fields it sets."""
+
+    def test_lemma1_config_keeps_the_default_trial_count(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"n": 2}))
+        assert cli_main(["lemma1", "--config", str(path)]) == 0
+        assert "rows: 100" in capsys.readouterr().out.splitlines()
+
+    def test_census_config_keeps_the_default_family(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"T": 4}))
+        assert cli_main(["census", "--config", str(path)]) == 0
+        from_config = capsys.readouterr().out
+        assert cli_main(["census", "--T", "4"]) == 0
+        assert from_config == capsys.readouterr().out
+        assert "failing fraction: 0.0" in from_config.splitlines()
+
+
+class TestFieldsEachKindReads:
+    """Flags and config fields a kind would ignore exit 2 with one line."""
+
+    def assert_refused(self, argv, capsys):
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--trials", "7"],
+        ["lemma1", "--family", "concentrated"],
+        ["lemma2", "--family", "random"],
+        ["lemma1", "--t", "3"],
+        ["lemma2", "--T", "4"],
+        ["lemma2", "--epsilon", "2"],
+        ["lemma1", "--threshold", "0.5"],
+    ])
+    def test_flag_refused(self, argv, capsys):
+        self.assert_refused(argv, capsys)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("census", {"seed": 9}),
+        ("census", {"trials": 7}),
+        ("census", {"tau_work": 4}),
+        ("census", {"epsilon": 2.0}),
+        ("lemma1", {"family": "concentrated"}),
+        ("lemma1", {"t": 3}),
+        ("lemma1", {"T": 4}),
+        ("lemma2", {"epsilon": 2.0}),
+        ("lemma2", {"success_threshold": 0.5}),
+        ("lemma2", {"kind": "lemma1"}),
+    ])
+    def test_config_field_refused(self, kind, fields, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(fields))
+        self.assert_refused([kind, "--config", str(path)], capsys)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_the_cli(self):
         src = Path(qqlab.__file__).resolve().parents[1]

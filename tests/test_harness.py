@@ -89,6 +89,15 @@ class TestConfig:
             ExperimentConfig.from_file(path)
         assert ExperimentConfig.from_file(path, kind="lemma2").kind == "lemma2"
 
+    def test_from_file_refuses_fields_the_kind_does_not_read(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "census", "seed": 9}))
+        with pytest.raises(ConfigError, match="seed"):
+            ExperimentConfig.from_file(path)
+        path.write_text(json.dumps({"kind": "lemma1", "n": 2}))
+        with pytest.raises(ConfigError, match="lemma1"):
+            ExperimentConfig.from_file(path, kind="lemma2")
+
 
 class TestWilson:
     def test_degenerate_edges(self):

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qqlab import kernels
 from qqlab.errors import (CapExceededError, LayoutMismatchError,
                           WidthMismatchError)
 from qqlab.harness import build_program
 from qqlab.oracles import (BitWord, all_oracles, iterate, make_oracle,
-                           mutate, sample_uniform_oracle)
+                           mutate, orbit, sample_uniform_oracle)
 from qqlab.programs import (QueryProgram, classical_emulation_program, initial_state,
                             load_program, output_distribution, program_from_json,
                             program_to_json, random_program, run, run_final, save_program,
@@ -342,3 +343,27 @@ class TestBasisIndexPath:
             tracemalloc.stop()
         assert p == 1.0
         assert peak < 1 << 20
+
+    def test_cap_sized_run_keeps_every_state_as_its_index(self, monkeypatch):
+        monkeypatch.delenv("QQLAB_QUBIT_CAP", raising=False)
+        n, T = 4, 3
+        prog = classical_emulation_program(n, T)  # 24 qubits: 256 MB per dense state
+        f = sample_uniform_oracle(n, 6)
+        x = BitWord(n, 9)
+        words = [v.value for v in orbit(f, x, T + 1)]
+        tracemalloc.start()
+        try:
+            trace = run(prog, f, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        lay = prog.layout
+        for i, state in enumerate(trace.states):
+            # chi_i holds orbit words 0..i in registers r_0..r_i, the rest 0,
+            # and queries word i next
+            for j in range(T + 1):
+                reg = lay.index_bits(range(j * n, (j + 1) * n))
+                assert kernels.read_bits(state.index, reg) == (words[j] if j <= i else 0)
+            address = lay.index_bits(lay.address_positions)
+            assert kernels.read_bits(state.index, address) == (words[i] if i < T else 0)

@@ -375,3 +375,88 @@ class TestHaar:
         for dim in (2, 4, 8):
             u = haar_unitary(dim, rng)
             assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-9
+
+
+def dense_twin(state):
+    """The same basic state given by its amplitudes (index None)."""
+    amps = np.zeros(state.layout.dim, dtype=complex)
+    amps[state.index] = 1.0
+    return StateVector(state.layout, amps)
+
+
+class TestIndexForm:
+    """A basic state held as its flat index must give every operation the
+    bits of the same state held as a dense vector."""
+
+    LAYOUTS = [(0, 1), (1, 1), (2, 2), (0, 3), (3, 3), (2, 4), (4, 5), (0, 7)]
+
+    def cases(self):
+        rng = generator(51, "index-form", 0)
+        for tau, n in self.LAYOUTS:
+            lay = QubitLayout(tau, n)
+            assert lay.total <= 14
+            for _ in range(4):
+                index = int(rng.integers(lay.dim))
+                yield lay, StateVector.basic(lay, index), rng
+
+    def test_form_and_equal_amplitudes(self):
+        for lay, basic, _ in self.cases():
+            dense = dense_twin(basic)
+            assert basic.index is not None and dense.index is None
+            assert basic.norm == dense.norm == 1.0
+            assert np.array_equal(basic.amplitudes, dense.amplitudes)
+
+    def test_masses_and_distances(self):
+        for lay, basic, rng in self.cases():
+            dense = dense_twin(basic)
+            n = lay.query_width
+            masses = query_masses(basic)
+            assert masses.dtype == query_masses(dense).dtype
+            assert np.array_equal(masses, query_masses(dense))
+            for a in range(1 << n):
+                assert query_mass(basic, BitWord(n, a)) == query_mass(dense, BitWord(n, a))
+            other = StateVector.basic(lay, int(rng.integers(lay.dim)))
+            for v in (basic, other):
+                want = l2_distance(dense, dense_twin(v))
+                assert l2_distance(basic, v) == want
+                assert l2_distance(basic, dense_twin(v)) == want
+                assert l2_distance(dense_twin(v), basic) == want
+
+    def test_query_gates_observe_and_dump(self):
+        for lay, basic, rng in self.cases():
+            dense = dense_twin(basic)
+            f = sample_uniform_oracle(lay.query_width, rng)
+            assert np.array_equal(apply_query(basic, f).amplitudes,
+                                  apply_query(dense, f).amplitudes)
+            targets = tuple(int(p) for p in rng.choice(lay.total, size=min(2, lay.total),
+                                                       replace=False))
+            for gate in (random_gate(targets, rng), x_gate(targets[0])):
+                assert np.array_equal(apply_local_unitary(basic, gate).amplitudes,
+                                      apply_local_unitary(dense, gate).amplitudes)
+            assert observe(basic, 7) == observe(dense, 7)
+            assert state_dump(basic) == state_dump(dense)
+            assert state_dump(basic, nonzero_only=False) == state_dump(dense, nonzero_only=False)
+
+    def test_lazy_amplitudes_are_read_only_and_kept(self):
+        lay = QubitLayout(2, 2)
+        basic = StateVector.basic(lay, 5)
+        amps = basic.amplitudes
+        assert amps is basic.amplitudes
+        assert not amps.flags.writeable
+        with pytest.raises(ValueError):
+            amps[0] = 1.0
+        # a gate never writes its input, whichever form it is in
+        out = apply_local_unitary(basic, h_gate(0))
+        assert np.array_equal(basic.amplitudes, dense_twin(basic).amplitudes)
+        assert out.index is None and out.amplitudes.flags.writeable is False
+
+    def test_basis_state_is_held_as_its_index(self):
+        lay = QubitLayout(1, 2)
+        st_ = basis_state(lay, BasisAssignment((1, 0, 1, 1, 0)))
+        assert st_.index == int(np.flatnonzero(st_.amplitudes)[0])
+
+    def test_index_outside_the_layout_rejected(self):
+        lay = QubitLayout(0, 1)
+        for index in (-1, 4):
+            with pytest.raises(LayoutMismatchError):
+                StateVector.basic(lay, index)
