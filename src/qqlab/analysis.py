@@ -18,12 +18,11 @@ Two kinds of facts are handled very differently here:
   (never expected) from premise failures (expected for concentrated
   programs, and reported as such).
 
-The construction and the bound report step their chains with the same
-primitive as `programs.run`, so on permutation-only programs every state,
-the recorded ones included, stays in the index form of `StateVector`.  The
-report steps the trace's own states under the fixed-final and fresh
-oracles.  `lemma2_check` and the mass matrix read `programs.chain` as a
-stream, keeping running sums and the final state only.
+The construction and the bound report step their chains with
+`qsim.apply_round`, as `programs.chain` does, and never read a state's
+form; the report steps the trace's own states under the fixed-final and
+fresh oracles.  `lemma2_check` and the mass matrix read `programs.chain`
+as a stream, keeping running sums and the final state only.
 """
 
 from __future__ import annotations
@@ -35,9 +34,9 @@ import numpy as np
 from .errors import QqlabError, TraceNotSucceededError
 from .oracles import (BitWord, OracleTable, WordSet, diff_set, iterate, mutate,
                       orbit, sample_uniform_oracle)
-from .programs import QueryProgram, _step, chain, initial_state, run_final
-from .qsim import (StateVector, apply_query, l2_distance, oracle_distance,
-                   query_mass, query_masses)
+from .programs import QueryProgram, chain, initial_state, run_final
+from .qsim import (StateVector, apply_query, apply_round, difference_mass, l2_distance,
+                   oracle_distance, query_mass, query_masses)
 from .rng import as_generator
 
 TOL = 1e-9
@@ -165,7 +164,7 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
     zero = BitWord.zero(n)
     full = WordSet(n, frozenset(range(size)))
 
-    state = _step(prog, initial_state(layout, zero), 0, f)
+    state = apply_round(initial_state(layout, zero), None, prog.blocks[0])
     masses = query_masses(state)
     steps = [AdversaryStep(state, f, full, zero, masses)]
     available = masses < threshold
@@ -175,7 +174,7 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
                               succeeded=False, exhausted_at=at)
 
     for i in range(t):
-        state = _step(prog, state, i + 1, steps[-1].oracle)
+        state = apply_round(state, steps[-1].oracle, prog.blocks[i + 1])
         masses = query_masses(state)
         available = available & (masses < threshold)
         if not available.any():
@@ -278,7 +277,7 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
         premise_masses.append(worst)
         premises.append(worst < threshold)
         deltas.append(l2_distance(trace.steps[i + 1].state,
-                                  _step(prog, trace.steps[i].state, i + 1, f_final)))
+                                  apply_round(trace.steps[i].state, f_final, prog.blocks[i + 1])))
 
     # fixed-final-oracle chain: drifts, pivot roots, and the triangle step,
     # all recorded in one pass (exact identities raise; they can only fail
@@ -289,8 +288,7 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     for i in range(t + 1):
         root_primed = float(np.sqrt(query_mass(primed, x_t)))
         pivot_roots_primed.append(root_primed)
-        diff_vec = StateVector(layout, trace.steps[i].state.amplitudes - primed.amplitudes)
-        tri_rhs = (float(np.sqrt(query_mass(diff_vec, x_t)))
+        tri_rhs = (float(np.sqrt(difference_mass(trace.steps[i].state, primed, x_t)))
                    + float(np.sqrt(trace.steps[i].masses[x_t.value])))
         if root_primed > tri_rhs + TOL:
             raise QqlabError(f"triangle step failed at i={i}: {root_primed} > {tri_rhs}")
@@ -298,14 +296,14 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
             raise QqlabError(
                 f"drift recursion failed at i={i}: {drifts[i]} > {sum(deltas[:i])}")
         if i < t:
-            primed = _step(prog, primed, i + 1, f_final)
+            primed = apply_round(primed, f_final, prog.blocks[i + 1])
             drifts.append(l2_distance(trace.steps[i + 1].state, primed))
 
     # chain under the freshly redirected oracle
     f_fresh = mutate(f_final, x_t, trace.final_value)
     fresh = trace.steps[0].state
     for i in range(t):
-        fresh = _step(prog, fresh, i + 1, f_fresh)
+        fresh = apply_round(fresh, f_fresh, prog.blocks[i + 1])
     final_gap = l2_distance(primed, fresh)
 
     chain_rhs = 2.0 * sum(pivot_roots_primed[:t])

@@ -127,6 +127,9 @@ class ExperimentConfig:
             if self.family == "truncated-emulation" and self.t is not None and self.t > self.T:
                 raise ConfigError(f"truncated-emulation has T = {self.T} rounds, "
                                   f"cannot keep t = {self.t}")
+            if self.family == "classical-emulation" and self.t not in (None, self.T):
+                raise ConfigError(f"classical-emulation makes T = {self.T} queries, "
+                                  f"cannot take t = {self.t}")
         if self.kind == "census" and self.n > 2 and not self.allow_large_census:
             raise ConfigError("census beyond n=2 must be explicitly enabled")
         return self
@@ -349,10 +352,13 @@ def run_pigeonhole_trials(cfg: ExperimentConfig) -> ExperimentReport:
             GapReport(f"cauchy[trial={i}]", e["per_round_rhs"], e["cauchy_rhs"]),
             GapReport(f"gap[trial={i}]", rep.lhs, rep.rhs, extra={"j_star": e["j_star"]}),
             GapReport(f"gap_sqrtT[trial={i}]", rep.lhs, e["sqrtT_rhs"], checked=distinct),
-        ], bool(e["result_changed"])
+        ], (bool(e["result_changed"]), prog.query_count)
 
-    return _sweep(cfg, trial,
-                  lambda changed: {"result_changed": sum(changed), "t": t, "T": cfg.T})
+    def aggregates(outcomes):
+        changed, rounds = zip(*outcomes)
+        return {"result_changed": sum(changed), "t": rounds[0], "T": cfg.T}
+
+    return _sweep(cfg, trial, aggregates)
 
 
 def _orbit_success(prog: QueryProgram, f, T: int) -> float:

@@ -9,30 +9,28 @@ Program input convention: the input word is written on the first n
 working qubits, every other qubit starts at 0.  Output convention: the
 result is read verbatim off the program's output region.
 
-One private primitive, `_step`, steps every chain one block at a time
-under an oracle given per call; `chain` (and through it `run`, `run_final`
-and `success_probability`) and the adversary code in `analysis` use it.
-Whether every gate is a 0/1 permutation is worked out once per program.
-Such a program (the classical-emulation, truncated-emulation and
-concentrated families) keeps a basic input on one basic state with
-amplitude exactly 1, since the XOR query is a permutation too, so every
-chain state stays a `StateVector` in the index form: exact, bit-identical
-to the dense path, and its amplitudes built only if a caller reads them.
-Every other program runs on a dense 2**N buffer.
+Every chain is stepped one block at a time by `qsim.apply_round`: block 0
+is the prelude, block i + 1 the query and the gates of round i, and each
+gate's index bits are found once per program (`QueryProgram.blocks`).
+`chain` (and through it `run`, `run_final` and `success_probability`) and
+the adversary code in `analysis` step their states that way, so a basic
+input stays in the index form of `StateVector` through every 0/1
+permutation gate and query (the whole run, for the classical-emulation,
+truncated-emulation and concentrated families) and is densified at its
+first other gate.  This module never reads a state's form.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .errors import LayoutMismatchError, TargetOutOfRangeError, WidthMismatchError
 from .oracles import BitWord, OracleTable
-from .qsim import LocalUnitary, QubitLayout, StateVector, cnot_gate, random_gate
+from .qsim import (LocalUnitary, QubitLayout, StateVector, apply_round, cnot_gate,
+                   gate_block, random_gate, readout_distribution)
 from .rng import as_generator
 
 
@@ -42,21 +40,18 @@ class QueryProgram:
     prelude: tuple[LocalUnitary, ...]
     rounds: tuple[tuple[LocalUnitary, ...], ...]
     output_region: tuple[int, ...]
+    # the prelude, then each round, as `qsim.gate_block`s
+    blocks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "prelude", tuple(self.prelude))
         object.__setattr__(self, "rounds", tuple(tuple(r) for r in self.rounds))
         object.__setattr__(self, "output_region", tuple(self.output_region))
-        total = self.layout.total
-        for g in self.all_gates():
-            for t in g.targets:
-                if not 0 <= t < total:
-                    raise TargetOutOfRangeError(f"gate target {t} outside layout")
+        object.__setattr__(self, "blocks", tuple(gate_block(self.layout, b)
+                                                 for b in (self.prelude, *self.rounds)))
         if len(set(self.output_region)) != len(self.output_region):
             raise TargetOutOfRangeError("output region positions must be distinct")
-        for p in self.output_region:
-            if not 0 <= p < total:
-                raise TargetOutOfRangeError(f"output position {p} outside layout")
+        self.layout.index_bits(self.output_region)  # raises for a position outside
 
     @property
     def query_count(self) -> int:
@@ -66,15 +61,6 @@ class QueryProgram:
         yield from self.prelude
         for r in self.rounds:
             yield from r
-
-    @cached_property
-    def _permutations(self) -> tuple | None:
-        """Per block (the prelude, then each round): the index bits and the
-        0/1 permutation of every gate, or None if some gate is not one;
-        worked out once per program."""
-        perms = tuple(tuple((self.layout.index_bits(g.targets), kernels.as_permutation(g.matrix))
-                            for g in block) for block in (self.prelude, *self.rounds))
-        return None if any(p is None for block in perms for _, p in block) else perms
 
 
 @dataclass(frozen=True)
@@ -97,29 +83,6 @@ def initial_state(layout: QubitLayout, input_word: BitWord) -> StateVector:
         layout, sum(1 << layout.index_bit(p) for p, b in enumerate(input_word.bits) if b))
 
 
-def _step(prog: QueryProgram, state: StateVector, block: int, f: OracleTable) -> StateVector:
-    """One block of the state chain.  Block 0 is the prelude and takes the
-    input basis state; block i + 1 is the query under f plus the gates of
-    round i and takes chi_i.  A permutation-only program steps a state in
-    the index form as its index; otherwise the next state is a fresh dense
-    buffer (the input state is never written)."""
-    layout = prog.layout
-    if state.index is not None and prog._permutations is not None:
-        index = state.index
-        if block:
-            index = kernels.query_index(index, layout.query_width, f.values)
-        for bits, perm in prog._permutations[block]:
-            index = kernels.permute_index(index, bits, perm)
-        return StateVector.basic(layout, index)
-    if block:
-        amps = kernels.apply_query(state.amplitudes, layout.total, layout.query_width, f.values)
-    else:
-        amps = state.buffer()
-    for g in prog.rounds[block - 1] if block else prog.prelude:
-        kernels.apply_matrix_inplace(amps, layout.total, layout.index_bits(g.targets), g.matrix)
-    return StateVector(layout, amps)
-
-
 def chain(prog: QueryProgram, f: OracleTable, input_word: BitWord):
     """chi_0..chi_t under f, one at a time: a caller that needs only running
     sums over the chain holds one state, not t + 1."""
@@ -127,8 +90,8 @@ def chain(prog: QueryProgram, f: OracleTable, input_word: BitWord):
         raise WidthMismatchError(
             f"oracle width {f.width} != query width {prog.layout.query_width}")
     state = initial_state(prog.layout, input_word)
-    for block in range(prog.query_count + 1):
-        state = _step(prog, state, block, f)
+    for i, block in enumerate(prog.blocks):
+        state = apply_round(state, f if i else None, block)
         yield state
 
 
@@ -146,8 +109,7 @@ def run_final(prog: QueryProgram, f: OracleTable, input_word: BitWord) -> StateV
 
 def output_distribution(prog: QueryProgram, final_state: StateVector) -> np.ndarray:
     """Probability of each output-region value in the final state."""
-    bits = final_state.layout.index_bits(prog.output_region)
-    return kernels.value_distribution(final_state.amplitudes, final_state.layout.total, bits)
+    return readout_distribution(final_state, prog.output_region)
 
 
 def success_probability(prog: QueryProgram, f: OracleTable, input_word: BitWord,
@@ -157,11 +119,7 @@ def success_probability(prog: QueryProgram, f: OracleTable, input_word: BitWord,
     if target.width != len(prog.output_region):
         raise WidthMismatchError(
             f"target width {target.width} != output region size {len(prog.output_region)}")
-    final = run_final(prog, f, input_word)
-    if final.index is not None:
-        return float(kernels.read_bits(final.index, prog.layout.index_bits(prog.output_region))
-                     == target.value)
-    return float(output_distribution(prog, final)[target.value])
+    return float(output_distribution(prog, run_final(prog, f, input_word))[target.value])
 
 
 def classical_emulation_program(n: int, T: int) -> QueryProgram:

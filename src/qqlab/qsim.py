@@ -15,16 +15,18 @@ Register/encoding conventions (fixed, relied on by the file formats):
 
 States are values: every operation returns a fresh vector and never
 mutates its inputs.  A basic state with amplitude 1 may be held in the
-index form, its flat index alone (`StateVector.basic`): query masses and
-distances between two such states are read off the indices; anything else
-reads its amplitudes, built once on first use.  The total qubit count is
-capped (default 24, about 16M amplitudes); set QQLAB_QUBIT_CAP to override.
+index form, its flat index alone (`StateVector.basic`).  Only this module
+reads a state's form: `apply_round` keeps the index through queries and 0/1
+permutation gates, and masses, distances and readouts of index-form states
+are read off the index, all with the dense path's bits.  The total qubit
+count is capped (default 24, about 16M amplitudes); QQLAB_QUBIT_CAP overrides.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -130,14 +132,15 @@ class StateVector:
 
     A basic state with amplitude 1 can be held as its flat `index` alone
     (`StateVector.basic`); its read-only `amplitudes` are then built on
-    first access and kept.  A state given by its amplitudes has index None.
+    first access and kept.  A state given by its amplitudes has index None;
+    the constructor copies them, so the caller's array is left as it was.
     Treat both attributes as read-only.
     """
 
     __slots__ = ("layout", "index", "_amplitudes")
 
     def __init__(self, layout: QubitLayout, amplitudes):
-        a = np.asarray(amplitudes, dtype=np.complex128)
+        a = np.array(amplitudes, dtype=np.complex128)
         if a.shape != (layout.dim,):
             raise LayoutMismatchError(f"expected {layout.dim} amplitudes, got {a.shape}")
         a.flags.writeable = False
@@ -148,28 +151,31 @@ class StateVector:
         """The basic state at a flat index, amplitude 1, with no array."""
         if not 0 <= index < layout.dim:
             raise LayoutMismatchError(f"index {index} outside 0..{layout.dim - 1}")
+        return cls._of(layout, index, None)
+
+    @classmethod
+    def _of(cls, layout: QubitLayout, index, amplitudes) -> "StateVector":
+        """No check, no copy: an index in range or a read-only fresh buffer."""
         state = cls.__new__(cls)
-        state.layout, state.index, state._amplitudes = layout, index, None
+        state.layout, state.index, state._amplitudes = layout, index, amplitudes
         return state
 
     @property
     def amplitudes(self) -> np.ndarray:
         if self._amplitudes is None:
-            self._amplitudes = self.buffer()
+            self._amplitudes = _one_hot(self.layout.dim, self.index, np.complex128)
             self._amplitudes.flags.writeable = False
         return self._amplitudes
-
-    def buffer(self) -> np.ndarray:
-        """A fresh writable copy of the amplitudes."""
-        if self._amplitudes is not None:
-            return self._amplitudes.copy()
-        a = np.zeros(self.layout.dim, dtype=np.complex128)
-        a[self.index] = 1.0
-        return a
 
     @property
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
+
+
+def _one_hot(size: int, index: int, dtype) -> np.ndarray:
+    a = np.zeros(size, dtype=dtype)
+    a[index] = 1.0
+    return a
 
 
 @dataclass(frozen=True)
@@ -192,12 +198,20 @@ class LocalUnitary:
         d = 1 << len(targets)
         if m.shape != (d, d):
             raise NonUnitaryError(f"matrix shape {m.shape} does not match {len(targets)} targets")
+        if not np.isfinite(m).all():
+            raise NonUnitaryError("matrix has non-finite entries")
         err = np.abs(m @ m.conj().T - np.eye(d)).max()
         if err > UNITARITY_TOL:
             raise NonUnitaryError(f"matrix fails unitarity by {err:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "matrix", m)
+
+    @cached_property
+    def permutation(self) -> np.ndarray | None:
+        """P with matrix[P[j], j] = 1 if the matrix is an exact 0/1
+        permutation, else None; found once per gate, on first use."""
+        return kernels.as_permutation(self.matrix)
 
 
 def basis_state(layout: QubitLayout, assignment: BasisAssignment) -> StateVector:
@@ -209,28 +223,48 @@ def basis_state(layout: QubitLayout, assignment: BasisAssignment) -> StateVector
                                          for p, b in enumerate(assignment.bits)))
 
 
-def _check_targets(layout: QubitLayout, u: LocalUnitary) -> tuple[int, ...]:
-    for t in u.targets:
-        if not 0 <= t < layout.total:
-            raise TargetOutOfRangeError(f"target {t} outside layout of {layout.total} qubits")
-    return layout.index_bits(u.targets)
+def gate_block(layout: QubitLayout, gates) -> tuple:
+    """The gates as a block for `apply_round`: (index bits, gate) pairs,
+    translated once; a target outside the layout raises."""
+    return tuple((layout.index_bits(u.targets), u) for u in gates)
+
+
+def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector:
+    """The XOR query under f (none if f is None), then a `gate_block`'s gates.
+    An index-form state keeps its form up to the first gate that is not a
+    0/1 permutation, which densifies it into one fresh buffer for the rest
+    of the block; the input is never written."""
+    layout = state.layout
+    n, nbits = layout.query_width, layout.total
+    if f is not None and f.width != n:
+        raise WidthMismatchError(f"oracle width {f.width} != query width {n}")
+    index, amps = state.index, None
+    if index is None:
+        amps = state.amplitudes.copy() if f is None else kernels.apply_query(
+            state.amplitudes, nbits, n, f.values)
+    elif f is not None:
+        index = kernels.query_index(index, n, f.values)
+    for bits, u in block:
+        if amps is None:
+            if u.permutation is not None:
+                index = kernels.permute_index(index, bits, u.permutation)
+                continue
+            amps = _one_hot(layout.dim, index, np.complex128)
+        kernels.apply_matrix_inplace(amps, nbits, bits, u.matrix)
+    if amps is None:
+        return StateVector._of(layout, index, None)
+    amps.flags.writeable = False
+    return StateVector._of(layout, None, amps)
 
 
 def apply_local_unitary(state: StateVector, u: LocalUnitary) -> StateVector:
     """The working transform: u on its targets, identity elsewhere."""
-    bits = _check_targets(state.layout, u)
-    amps = state.buffer()
-    kernels.apply_matrix_inplace(amps, state.layout.total, bits, u.matrix)
-    return StateVector(state.layout, amps)
+    return apply_round(state, None, gate_block(state.layout, (u,)))
 
 
 def apply_query(state: StateVector, f: OracleTable) -> StateVector:
     """XOR query: |w, a, b> -> |w, a, f(a) xor b>."""
-    n = state.layout.query_width
-    if f.width != n:
-        raise WidthMismatchError(f"oracle width {f.width} != query width {n}")
-    amps = kernels.apply_query(state.amplitudes, state.layout.total, n, f.values)
-    return StateVector(state.layout, amps)
+    return apply_round(state, f, ())
 
 
 def query_masses(vector: StateVector) -> np.ndarray:
@@ -256,6 +290,29 @@ def query_mass(vector: StateVector, a: BitWord) -> float:
     return float((block.real ** 2 + block.imag ** 2).sum())
 
 
+def _column(state: StateVector, a: int) -> np.ndarray:
+    """The amplitudes whose address word is a, in flat-index order."""
+    n = state.layout.query_width
+    if state.index is None:
+        return state.amplitudes.reshape(-1, 1 << n)[:, a]
+    column = np.zeros(state.layout.dim >> n, dtype=np.complex128)
+    column[state.index >> n] = state.index & ((1 << n) - 1) == a  # 1 or 0
+    return column
+
+
+def difference_mass(v1: StateVector, v2: StateVector, a: BitWord) -> float:
+    """query_mass of the vector v1 - v2 on a, bit for bit, from a's column alone."""
+    if v1.layout != v2.layout:
+        raise LayoutMismatchError("states use different layouts")
+    if v1.index is not None and v2.index is not None:
+        # the difference is +1 at one index and -1 at the other, or zero
+        return 0.0 if v1.index == v2.index else query_mass(v1, a) + query_mass(v2, a)
+    if a.width != v1.layout.query_width:
+        raise WidthMismatchError(f"word width {a.width} != query width {v1.layout.query_width}")
+    d = _column(v1, a.value) - _column(v2, a.value)
+    return float((d.real ** 2 + d.imag ** 2).sum())
+
+
 def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float:
     """Square root of the query mass on the words where f and g differ."""
     n = state.layout.query_width
@@ -273,6 +330,14 @@ def l2_distance(v1: StateVector, v2: StateVector) -> float:
     if v1.index is not None and v2.index is not None:
         return 0.0 if v1.index == v2.index else float(np.sqrt(2.0))
     return float(np.linalg.norm(v1.amplitudes - v2.amplitudes))
+
+
+def readout_distribution(state: StateVector, positions) -> np.ndarray:
+    """Probability of each value read MSB first off the given qubit positions."""
+    bits = state.layout.index_bits(positions)
+    if state.index is not None:
+        return _one_hot(1 << len(bits), kernels.read_bits(state.index, bits), np.float64)
+    return kernels.value_distribution(state.amplitudes, state.layout.total, bits)
 
 
 def observe(state: StateVector, seed) -> BasisAssignment:

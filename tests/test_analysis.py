@@ -349,8 +349,10 @@ def qsim_round(state, gates, f):
 
 
 def reference_trace_states(prog, trace):
-    """The trace's chain chi_0..chi_t, each round under that step's oracle."""
-    state = initial_state(prog.layout, BitWord.zero(prog.layout.query_width))
+    """The trace's chain chi_0..chi_t, each round under that step's oracle,
+    stepped from the input's amplitudes, so never on the index path."""
+    zero = BitWord.zero(prog.layout.query_width)
+    state = StateVector(prog.layout, initial_state(prog.layout, zero).amplitudes)
     for g in prog.prelude:
         state = apply_local_unitary(state, g)
     states = [state]

@@ -95,6 +95,18 @@ class TestInputErrors:
         self.assert_input_error([kind, "--family", "truncated-emulation", "--n", "2",
                                  "--T", "3", "--t", "5"], capsys)
 
+    @pytest.mark.parametrize("kind", ["montecarlo", "pigeonhole", "census"])
+    def test_full_emulation_rounds_other_than_T(self, kind, capsys):
+        self.assert_input_error([kind, "--family", "classical-emulation", "--n", "2",
+                                 "--T", "3", "--t", "1"], capsys)
+
+
+def test_pigeonhole_reports_the_rounds_its_programs_run(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert cli_main(["pigeonhole", "--family", "classical-emulation", "--n", "2", "--T", "4",
+                     "--trials", "1", "--out", str(out)]) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["aggregates"]["t"] == 4
+
 
 class TestConfigPrecedence:
     """A config file overrides the command-line defaults only with the

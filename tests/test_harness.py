@@ -50,6 +50,14 @@ class TestConfig:
             cfg(kind=kind, family="truncated-emulation", n=2, T=3, t=5)
         cfg(kind=kind, family="truncated-emulation", n=2, T=3, t=3)
 
+    @pytest.mark.parametrize("kind", ["pigeonhole", "montecarlo", "census"])
+    def test_full_emulation_takes_exactly_T_rounds(self, kind):
+        for t in (1, 2, 4):
+            with pytest.raises(ConfigError, match="classical-emulation"):
+                cfg(kind=kind, family="classical-emulation", n=2, T=3, t=t)
+        cfg(kind=kind, family="classical-emulation", n=2, T=3, t=3)
+        cfg(kind=kind, family="classical-emulation", n=2, T=3)
+
     def test_census_width_gate(self):
         with pytest.raises(ConfigError):
             cfg(kind="census", n=3)

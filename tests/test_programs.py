@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qqlab import kernels
-from qqlab.errors import (CapExceededError, LayoutMismatchError,
+from qqlab.errors import (CapExceededError, LayoutMismatchError, NonUnitaryError,
                           WidthMismatchError)
 from qqlab.harness import build_program
 from qqlab.oracles import (BitWord, all_oracles, iterate, make_oracle,
@@ -13,9 +14,9 @@ from qqlab.programs import (QueryProgram, classical_emulation_program, initial_s
                             load_program, output_distribution, program_from_json,
                             program_to_json, random_program, run, run_final, save_program,
                             success_probability, truncate_after_query)
-from qqlab.qsim import (BasisAssignment, QubitLayout, apply_local_unitary, apply_query,
-                        basis_state, cnot_gate, l2_distance, query_mass, query_masses,
-                        random_gate)
+from qqlab.qsim import (BasisAssignment, QubitLayout, StateVector, apply_local_unitary,
+                        apply_query, basis_state, cnot_gate, l2_distance, query_mass,
+                        query_masses, random_gate)
 from qqlab.rng import generator
 
 
@@ -245,10 +246,19 @@ class TestProgramFiles:
         with pytest.raises(ValueError):
             program_from_json('{"format": "nope"}')
 
+    def test_rejects_a_non_finite_matrix_entry(self):
+        obj = json.loads(program_to_json(classical_emulation_program(1, 1)))
+        obj["rounds"][0][0]["matrix"][0] = [float("nan"), 0.0]
+        text = json.dumps(obj)
+        assert "NaN" in text
+        with pytest.raises(NonUnitaryError):
+            program_from_json(text)
+
 
 def dense_chain(prog, f, x):
-    """Reference chain chi_0..chi_t stepped gate by gate on the full vector."""
-    state = initial_state(prog.layout, x)
+    """Reference chain chi_0..chi_t stepped gate by gate on the full vector:
+    it starts from the input's amplitudes, so it never takes the index path."""
+    state = StateVector(prog.layout, initial_state(prog.layout, x).amplitudes)
     for g in prog.prelude:
         state = apply_local_unitary(state, g)
     chain = [state]
@@ -316,6 +326,21 @@ class TestBasisIndexPath:
         for f in (FOUR_CYCLE, sample_uniform_oracle(2, rng)):
             assert_matches_dense(prog, f, w("10"))
         assert np.count_nonzero(run_final(prog, FOUR_CYCLE, w("10")).amplitudes) > 1
+
+    @pytest.mark.parametrize("block", [0, 1, 2, 3])
+    def test_index_form_up_to_the_first_dense_gate(self, block):
+        # a Haar gate in the middle of block `block` (0 is the prelude), after
+        # permutation gates: every earlier chain state keeps the index form
+        rng = generator(33, "basis-path", block)
+        base = classical_emulation_program(2, 3)
+        blocks = [list(base.prelude)] + [list(r) for r in base.rounds]
+        middle = len(blocks[block]) // 2
+        blocks[block].insert(middle, random_gate((1, base.layout.total - 2), rng))
+        prog = QueryProgram(base.layout, blocks[0], blocks[1:], base.output_region)
+        for f in (FOUR_CYCLE, sample_uniform_oracle(2, rng)):
+            assert_matches_dense(prog, f, w("11"))
+            states = run(prog, f, w("11")).states
+            assert [s.index is not None for s in states] == [i < block for i in range(4)]
 
     def test_input_checks_kept(self):
         prog = build_program("concentrated", 2, 3, None, 1, 0)  # one working qubit

@@ -9,8 +9,9 @@ from qqlab.errors import (CapExceededError, DuplicateTargetError, LayoutMismatch
 from qqlab.oracles import BitWord, make_oracle, mutate, sample_uniform_oracle
 from qqlab.qsim import (BasisAssignment, LocalUnitary, QubitLayout, StateVector,
                         apply_local_unitary, apply_query, basis_state, cnot_gate,
-                        h_gate, haar_unitary, l2_distance, observe, oracle_distance,
-                        query_mass, query_masses, random_gate, state_dump, x_gate)
+                        difference_mass, h_gate, haar_unitary, l2_distance, observe,
+                        oracle_distance, query_mass, query_masses, random_gate,
+                        readout_distribution, state_dump, x_gate)
 from qqlab.rng import generator
 
 
@@ -95,6 +96,11 @@ class TestLocalUnitary:
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitaryError):
             LocalUnitary((0,), np.array([[1, 0], [0, 2]], dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(NonUnitaryError):
+            LocalUnitary((0,), [[bad, 0], [0, 1]])
 
     def test_duplicate_targets_rejected(self):
         with pytest.raises(DuplicateTargetError):
@@ -450,6 +456,36 @@ class TestIndexForm:
         assert np.array_equal(basic.amplitudes, dense_twin(basic).amplitudes)
         assert out.index is None and out.amplitudes.flags.writeable is False
 
+    def test_permutations_and_queries_keep_the_index_form(self):
+        for lay, basic, rng in self.cases():
+            f = sample_uniform_oracle(lay.query_width, rng)
+            assert apply_query(basic, f).index is not None
+            assert apply_local_unitary(basic, x_gate(lay.total - 1)).index is not None
+            assert apply_local_unitary(basic, h_gate(0)).index is None
+
+    def test_difference_mass_equals_the_dense_formula(self):
+        # every pair of forms, and equal indices, against query_mass of the
+        # difference vector built in full
+        for lay, basic, rng in self.cases():
+            n = lay.query_width
+            dense = random_state(lay, rng)
+            states = (basic, StateVector.basic(lay, int(rng.integers(lay.dim))), dense,
+                      random_state(lay, rng))
+            for v1 in states:
+                for v2 in states:
+                    diff = StateVector(lay, v1.amplitudes - v2.amplitudes)
+                    for a in range(1 << n):
+                        word = BitWord(n, a)
+                        assert difference_mass(v1, v2, word) == query_mass(diff, word)
+
+    def test_readout_distribution_of_the_index_form(self):
+        for lay, basic, rng in self.cases():
+            k = int(rng.integers(1, lay.total + 1))
+            positions = tuple(int(p) for p in rng.choice(lay.total, size=k, replace=False))
+            got = readout_distribution(basic, positions)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, readout_distribution(dense_twin(basic), positions))
+
     def test_basis_state_is_held_as_its_index(self):
         lay = QubitLayout(1, 2)
         st_ = basis_state(lay, BasisAssignment((1, 0, 1, 1, 0)))
@@ -460,3 +496,12 @@ class TestIndexForm:
         for index in (-1, 4):
             with pytest.raises(LayoutMismatchError):
                 StateVector.basic(lay, index)
+
+
+def test_constructor_leaves_the_callers_array_alone():
+    b = np.zeros(4, dtype=np.complex128)
+    b[0] = 1.0
+    state = StateVector(QubitLayout(0, 1), b)
+    b[0] = 0.5
+    assert b.flags.writeable
+    assert state.amplitudes[0] == 1.0 and not state.amplitudes.flags.writeable
