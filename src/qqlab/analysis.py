@@ -20,21 +20,23 @@ Two kinds of facts are handled very differently here:
 
 The construction and the bound report step their chains with
 `qsim.apply_round`, as `programs.chain` does, and never read a state's
-form; the report steps the trace's own states under the fixed-final and
-fresh oracles.  `lemma2_check` and the mass matrix read `programs.chain`
-as a stream, keeping running sums and the final state only.
+form; each chain state is stepped once.  The report reads the trace in one
+pass, and mutated-oracle runs start from the f-run's chi_0, which makes no
+query.  `lemma2_check` and the mass matrix read `programs.chain` as a
+stream, keeping running sums and the final state only.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import QqlabError, TraceNotSucceededError
-from .oracles import (BitWord, OracleTable, WordSet, diff_set, iterate, mutate,
-                      orbit, sample_uniform_oracle)
-from .programs import QueryProgram, chain, initial_state, run_final
+from .oracles import (BitWord, OracleTable, WordSet, iterate, mutate, orbit,
+                      sample_uniform_oracle)
+from .programs import QueryProgram, chain, initial_state
 from .qsim import (StateVector, apply_query, apply_round, difference_mass, l2_distance,
                    oracle_distance, query_mass, query_masses)
 from .rng import as_generator
@@ -66,8 +68,8 @@ class GapReport:
     def vacuous(self) -> bool:
         return self.rhs > L2_DIAMETER
 
-    def holds(self, tol: float = TOL) -> bool:
-        return self.lhs <= self.rhs + tol
+    def holds(self) -> bool:
+        return self.lhs <= self.rhs + TOL
 
 
 def lemma1_check(state: StateVector, f: OracleTable, g: OracleTable,
@@ -86,9 +88,10 @@ def lemma2_check(prog: QueryProgram, f: OracleTable, a: BitWord, y: BitWord,
     g = mutate(f, a, y)
     roots = 0  # running sum over the pre-query states; the last state is final
     for i, state in enumerate(chain(prog, f, input_word)):
+        mutated = apply_round(mutated, g, prog.blocks[i]) if i else state
         if i < prog.query_count:
             roots += np.sqrt(query_mass(state, a))
-    lhs = l2_distance(state, run_final(prog, g, input_word))
+    lhs = l2_distance(state, mutated)
     # when g == f no word actually differs, so the mass sum is empty
     rhs = 0.0 if g == f else 2.0 * roots
     return GapReport(context, lhs, rhs,
@@ -232,17 +235,18 @@ class BoundReport:
     premise_masses: list[float]
     rows: list[GapReport]
 
-    def violations(self, tol: float = TOL) -> list[GapReport]:
-        return [r for r in self.rows if r.checked and not r.holds(tol)]
+    def violations(self) -> list[GapReport]:
+        return [r for r in self.rows if r.checked and not r.holds()]
 
-    def raw_violations(self, tol: float = TOL) -> list[GapReport]:
-        return [r for r in self.rows if not r.holds(tol)]
+    def raw_violations(self) -> list[GapReport]:
+        return [r for r in self.rows if not r.holds()]
 
 
 def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
                            T: int, epsilon: float) -> BoundReport:
-    """Replay a succeeded trace against the fixed final oracle and the
-    freshly redirected one, and check every recorded quantity.
+    """Step a succeeded trace's states under the fixed final oracle and the
+    freshly redirected one, and check every recorded quantity.  T and
+    epsilon must be the ones the trace was built for.
 
     Exact identities (drift recursion, triangle step, hybrid chain on the
     final gap) are enforced with raises.  The alpha-rate bounds are emitted
@@ -257,6 +261,9 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
         raise ValueError(
             f"program ({prog.query_count} rounds on {layout}) cannot have produced "
             f"the trace ({t} rounds on {trace.steps[0].state.layout})")
+    if T != trace.T or epsilon != trace.epsilon:
+        raise ValueError(f"the trace was built for T = {trace.T}, epsilon = {trace.epsilon}, "
+                         f"not T = {T}, epsilon = {epsilon}")
     alpha = trace.alpha
     threshold = trace.threshold
     x_t = trace.steps[-1].pivot
@@ -267,43 +274,40 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     bound_pivot = 3.0 * t ** 1.5 * root
     bound_final = 6.0 * t ** 2.5 * root
 
-    # per round: the premise (every disagreement word of (f_i, f_final) light
-    # in state i) and the sensitivity of state i to the oracle swap; round i
-    # under the evolving oracle is the trace's own next state
-    premises, premise_masses, deltas = [], [], []
-    for i in range(t):
-        diff = diff_set(trace.steps[i].oracle, f_final)
-        worst = max((float(trace.steps[i].masses[w.value]) for w in diff), default=0.0)
-        premise_masses.append(worst)
-        premises.append(worst < threshold)
-        deltas.append(l2_distance(trace.steps[i + 1].state,
-                                  apply_round(trace.steps[i].state, f_final, prog.blocks[i + 1])))
-
-    # fixed-final-oracle chain: drifts, pivot roots, and the triangle step,
-    # all recorded in one pass (exact identities raise; they can only fail
-    # on a simulator bug, never on an adversarial input)
-    drifts = [0.0]
-    pivot_roots_primed = []
+    # one pass over the trace; at step i, the fixed-final-oracle chain's
+    # pivot root, triangle step and drift (exact identities raise; they can
+    # only fail on a simulator bug, never on an adversarial input), then for
+    # i < t the premise (every disagreement word of (f_i, f_final) light in
+    # state i), the delta of state i under f_final, and the chain's next state
+    premises, premise_masses, deltas, drifts, pivot_roots_primed = [], [], [], [0.0], []
     primed = trace.steps[0].state
-    for i in range(t + 1):
+    for i, step in enumerate(trace.steps):
         root_primed = float(np.sqrt(query_mass(primed, x_t)))
         pivot_roots_primed.append(root_primed)
-        tri_rhs = (float(np.sqrt(difference_mass(trace.steps[i].state, primed, x_t)))
-                   + float(np.sqrt(trace.steps[i].masses[x_t.value])))
+        tri_rhs = (float(np.sqrt(difference_mass(step.state, primed, x_t)))
+                   + float(np.sqrt(step.masses[x_t.value])))
         if root_primed > tri_rhs + TOL:
             raise QqlabError(f"triangle step failed at i={i}: {root_primed} > {tri_rhs}")
-        if drifts[i] > sum(deltas[:i]) + TOL:
-            raise QqlabError(
-                f"drift recursion failed at i={i}: {drifts[i]} > {sum(deltas[:i])}")
-        if i < t:
-            primed = apply_round(primed, f_final, prog.blocks[i + 1])
-            drifts.append(l2_distance(trace.steps[i + 1].state, primed))
+        if drifts[i] > sum(deltas) + TOL:
+            raise QqlabError(f"drift recursion failed at i={i}: {drifts[i]} > {sum(deltas)}")
+        if i == t:
+            break
+        worst = float(step.masses[step.oracle.values != f_final.values].max(initial=0.0))
+        premise_masses.append(worst)
+        premises.append(worst < threshold)
+        block, following = prog.blocks[i + 1], trace.steps[i + 1].state
+        if i:  # the swapped state is dropped before the fixed chain steps
+            deltas.append(l2_distance(following, apply_round(step.state, f_final, block)))
+        primed = apply_round(primed, f_final, block)
+        drifts.append(l2_distance(following, primed))
+        if i == 0:  # from chi_0 the swapped step is the fixed chain's first state
+            deltas.append(drifts[1])
 
     # chain under the freshly redirected oracle
     f_fresh = mutate(f_final, x_t, trace.final_value)
     fresh = trace.steps[0].state
-    for i in range(t):
-        fresh = apply_round(fresh, f_fresh, prog.blocks[i + 1])
+    for block in prog.blocks[1:]:
+        fresh = apply_round(fresh, f_fresh, block)
     final_gap = l2_distance(primed, fresh)
 
     chain_rhs = 2.0 * sum(pivot_roots_primed[:t])
@@ -356,11 +360,12 @@ class MassMatrix:
 
 def query_mass_matrix(prog: QueryProgram, f: OracleTable, T: int,
                       input_word: BitWord) -> MassMatrix:
-    return _mass_matrix_and_final_state(prog, f, T, input_word)[0]
+    return _mass_matrix_and_final_state(prog, f, T, input_word,
+                                        chain(prog, f, input_word))[0]
 
 
 def _mass_matrix_and_final_state(prog: QueryProgram, f: OracleTable, T: int,
-                                 input_word: BitWord) -> tuple[MassMatrix, StateVector]:
+                                 input_word: BitWord, states) -> tuple[MassMatrix, StateVector]:
     t = prog.query_count
     if T < 1:
         raise ValueError("need T >= 1 orbit words")
@@ -369,7 +374,7 @@ def _mass_matrix_and_final_state(prog: QueryProgram, f: OracleTable, T: int,
     unique = np.unique(values)
     entries = np.zeros((t, T))
     row_sums = np.zeros(t)
-    for i, final in enumerate(chain(prog, f, input_word)):
+    for i, final in enumerate(states):
         if i < t:  # the last state of the chain is the final one
             masses = query_masses(final)
             entries[i] = masses[values]
@@ -390,7 +395,10 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     """Mutate the oracle on the lightest orbit column's word and compare the
     final states; the gap is bounded by the per-round root masses and, via
     Cauchy-Schwarz, by the column mass."""
-    m, final_f = _mass_matrix_and_final_state(prog, f, T, input_word)
+    states = chain(prog, f, input_word)
+    mutated = next(states)  # chi_0 makes no query, so the g-run starts from it too
+    m, final_f = _mass_matrix_and_final_state(prog, f, T, input_word,
+                                              itertools.chain((mutated,), states))
     t = m.t
     j_star = int(np.argmin(m.col_sums))
     word = m.orbit_words[j_star]
@@ -400,7 +408,9 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     fresh = BitWord(f.width, int(rng.choice(others)))
     g = mutate(f, word, fresh)
 
-    lhs = l2_distance(final_f, run_final(prog, g, input_word))
+    for block in prog.blocks[1:]:
+        mutated = apply_round(mutated, g, block)
+    lhs = l2_distance(final_f, mutated)
     per_round = 2.0 * float(np.sqrt(m.entries[:, j_star]).sum())
     cauchy = 2.0 * float(np.sqrt(t * m.col_sums[j_star]))
     rhs = min(per_round, cauchy)

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (GapReport, adversary_bound_report, build_hard_oracle,
+from .analysis import (TOL, GapReport, adversary_bound_report, build_hard_oracle,
                        lemma1_check, lemma2_check, pigeonhole_mutation_check)
 from .errors import CapExceededError, ConfigError
 from .oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
@@ -50,8 +50,9 @@ FAMILIES = ("classical-emulation", "truncated-emulation", "random", "concentrate
 DEFAULT_THRESHOLD = 2.0 / 3.0
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial rate."""
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     if trials == 0:
         return (0.0, 1.0)
     p = successes / trials
@@ -111,25 +112,15 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
-        if self.kind == "adversary":
+        if "family" in KIND_FIELDS[self.kind]:
             if self.T < 1:
-                raise ConfigError("adversary runs need T >= 1")
-            if self.t is not None and self.t != self.T - 1:
-                raise ConfigError("adversary regime requires t = T - 1")
-            if self.family == "classical-emulation":
-                # build_program gives this family T queries; the hard oracle
-                # is built against T - 1
-                raise ConfigError("adversary runs need t = T - 1 queries; classical-emulation "
-                                  "makes T, use truncated-emulation")
-        if self.kind in ("pigeonhole", "montecarlo", "census"):
-            if self.T < 1:
-                raise ConfigError(f"{self.kind} needs T >= 1")
-            if self.family == "truncated-emulation" and self.t is not None and self.t > self.T:
-                raise ConfigError(f"truncated-emulation has T = {self.T} rounds, "
-                                  f"cannot keep t = {self.t}")
-            if self.family == "classical-emulation" and self.t not in (None, self.T):
-                raise ConfigError(f"classical-emulation makes T = {self.T} queries, "
-                                  f"cannot take t = {self.t}")
+                raise ConfigError(f"{self.kind} runs need T >= 1")
+            rounds = _family_rounds(self.family, self.T, self.t, self.T - 1)
+            if self.kind == "adversary" and rounds != self.T - 1:
+                # the hard oracle is built against T - 1 queries
+                raise ConfigError(f"adversary runs need t = T - 1 queries, {self.family} would "
+                                  f"make {rounds} (truncated-emulation is classical-emulation "
+                                  "cut to T - 1)")
         if self.kind == "census" and self.n > 2 and not self.allow_large_census:
             raise ConfigError("census beyond n=2 must be explicitly enabled")
         return self
@@ -164,10 +155,24 @@ def read_config(path, kind: str | None = None) -> dict:
     return obj
 
 
+def _family_rounds(family: str, T: int, t: int | None, default: int) -> int:
+    """The round count of a family's programs for T: classical-emulation
+    makes T and takes no other t; any other family keeps t rounds, or
+    `default` when t is None, and truncated-emulation at most T."""
+    if family == "classical-emulation":
+        if t not in (None, T):
+            raise ConfigError(f"classical-emulation makes T = {T} queries, cannot take t = {t}")
+        return T
+    rounds = default if t is None else t
+    if family == "truncated-emulation" and rounds > T:
+        raise ConfigError(f"truncated-emulation has T = {T} rounds, cannot keep t = {rounds}")
+    return rounds
+
+
 def build_program(family: str, n: int, T: int, t: int | None,
                   tau_work: int, seed) -> QueryProgram:
     """Named program families used by the census and the sweeps."""
-    rounds = T - 1 if t is None else t
+    rounds = _family_rounds(family, T, t, T - 1)
     if family == "classical-emulation":
         return classical_emulation_program(n, T)
     if family == "truncated-emulation":
@@ -191,8 +196,8 @@ class ExperimentReport:
     aggregates: dict
     wall_time: float = 0.0
 
-    def violation_rows(self, tol: float = 1e-9) -> list[dict]:
-        return [r for r in self.rows if r["checked"] and r["slack"] < -tol]
+    def violation_rows(self) -> list[dict]:
+        return [r for r in self.rows if r["checked"] and r["slack"] < -TOL]
 
     def to_csv(self) -> str:
         lines = [f"# {CSV_VERSION} kind={self.config.kind} master_seed={self.config.seed}",
@@ -251,7 +256,7 @@ def _sweep(cfg: ExperimentConfig, trial, aggregates=lambda outcomes: {}) -> Expe
     agg = aggregates(outcomes)
     slacks = [r["slack"] for r in rows if r["checked"]]
     agg.update(rows=len(rows), checked_rows=len(slacks),
-               violations=sum(1 for s in slacks if s < -1e-9))
+               violations=sum(1 for s in slacks if s < -TOL))
     if slacks:
         agg.update(min_slack=min(slacks), mean_slack=float(np.mean(slacks)))
     return ExperimentReport(cfg, rows, agg, wall_time=time.perf_counter() - started)
@@ -336,7 +341,7 @@ def run_adversary_trials(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_pigeonhole_trials(cfg: ExperimentConfig) -> ExperimentReport:
-    t = cfg.t if cfg.t is not None else max(1, int(np.sqrt(cfg.T) / 2))
+    t = _family_rounds(cfg.family, cfg.T, cfg.t, max(1, int(np.sqrt(cfg.T) / 2)))
 
     def trial(i):
         rng = generator(cfg.seed, "pigeonhole", i)

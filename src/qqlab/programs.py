@@ -158,7 +158,7 @@ def random_program(n: int, work_qubits: int, t: int, seed) -> QueryProgram:
     rng = as_generator(seed)
     layout = QubitLayout(work_qubits, n)
 
-    def gate_block():
+    def random_gates():
         gates = []
         for _ in range(int(rng.integers(1, 5))):
             k = int(rng.integers(1, 3))
@@ -166,8 +166,8 @@ def random_program(n: int, work_qubits: int, t: int, seed) -> QueryProgram:
             gates.append(random_gate(targets, rng))
         return tuple(gates)
 
-    prelude = gate_block()
-    rounds = tuple(gate_block() for _ in range(t))
+    prelude = random_gates()
+    rounds = tuple(random_gates() for _ in range(t))
     out_width = min(n, layout.total)
     return QueryProgram(layout, prelude, rounds, tuple(range(out_width)))
 

@@ -17,9 +17,11 @@ States are values: every operation returns a fresh vector and never
 mutates its inputs.  A basic state with amplitude 1 may be held in the
 index form, its flat index alone (`StateVector.basic`).  Only this module
 reads a state's form: `apply_round` keeps the index through queries and 0/1
-permutation gates, and masses, distances and readouts of index-form states
-are read off the index, all with the dense path's bits.  The total qubit
-count is capped (default 24, about 16M amplitudes); QQLAB_QUBIT_CAP overrides.
+permutation gates, and masses, distances, readouts, samples and dumps of
+index-form states are read off the index, all with the dense path's bits.
+A state's form depends only on the gates it went through, so the pairs the
+analysis compares share a form.  The total qubit count is capped (default
+24, about 16M amplitudes); QQLAB_QUBIT_CAP overrides.
 """
 
 from __future__ import annotations
@@ -185,15 +187,15 @@ class LocalUnitary:
     targets: tuple[int, ...]
     matrix: np.ndarray = field(compare=False)
 
-    def __init__(self, targets, matrix, max_targets: int = MAX_GATE_TARGETS):
+    def __init__(self, targets, matrix):
         targets = tuple(int(t) for t in targets)
         if len(set(targets)) != len(targets):
             raise DuplicateTargetError(f"duplicate gate targets {targets}")
         if not targets:
             raise TargetOutOfRangeError("gate needs at least one target")
-        if len(targets) > max_targets:
+        if len(targets) > MAX_GATE_TARGETS:
             raise TargetOutOfRangeError(
-                f"{len(targets)} targets exceeds gate cap {max_targets}")
+                f"{len(targets)} targets exceeds gate cap {MAX_GATE_TARGETS}")
         m = np.asarray(matrix, dtype=np.complex128)
         d = 1 << len(targets)
         if m.shape != (d, d):
@@ -290,18 +292,9 @@ def query_mass(vector: StateVector, a: BitWord) -> float:
     return float((block.real ** 2 + block.imag ** 2).sum())
 
 
-def _column(state: StateVector, a: int) -> np.ndarray:
-    """The amplitudes whose address word is a, in flat-index order."""
-    n = state.layout.query_width
-    if state.index is None:
-        return state.amplitudes.reshape(-1, 1 << n)[:, a]
-    column = np.zeros(state.layout.dim >> n, dtype=np.complex128)
-    column[state.index >> n] = state.index & ((1 << n) - 1) == a  # 1 or 0
-    return column
-
-
 def difference_mass(v1: StateVector, v2: StateVector, a: BitWord) -> float:
-    """query_mass of the vector v1 - v2 on a, bit for bit, from a's column alone."""
+    """query_mass of the vector v1 - v2 on a, bit for bit, from a's column alone:
+    off the indices of two index-form states, else off their amplitudes."""
     if v1.layout != v2.layout:
         raise LayoutMismatchError("states use different layouts")
     if v1.index is not None and v2.index is not None:
@@ -309,7 +302,8 @@ def difference_mass(v1: StateVector, v2: StateVector, a: BitWord) -> float:
         return 0.0 if v1.index == v2.index else query_mass(v1, a) + query_mass(v2, a)
     if a.width != v1.layout.query_width:
         raise WidthMismatchError(f"word width {a.width} != query width {v1.layout.query_width}")
-    d = _column(v1, a.value) - _column(v2, a.value)
+    column = lambda v: v.amplitudes.reshape(-1, 1 << a.width)[:, a.value]
+    d = column(v1) - column(v2)
     return float((d.real ** 2 + d.imag ** 2).sum())
 
 
@@ -346,14 +340,18 @@ def observe(state: StateVector, seed) -> BasisAssignment:
     Pure sampling: the stored state is never collapsed, so repeated calls
     draw with replacement.  Deterministic given the seed.
     """
-    p = state.amplitudes.real ** 2 + state.amplitudes.imag ** 2
-    total = p.sum()
-    if abs(np.sqrt(total) - 1.0) > 1e-6:
-        raise NotNormalizedError(f"state norm {np.sqrt(total):.9f} is not 1 within 1e-6")
     rng = as_generator(seed)
-    cum = np.cumsum(p)
-    index = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-    index = min(index, len(p) - 1)
+    if state.index is not None:  # a certain outcome, after the dense path's one draw
+        rng.random()
+        index = state.index
+    else:
+        p = state.amplitudes.real ** 2 + state.amplitudes.imag ** 2
+        total = p.sum()
+        if abs(np.sqrt(total) - 1.0) > 1e-6:
+            raise NotNormalizedError(f"state norm {np.sqrt(total):.9f} is not 1 within 1e-6")
+        cum = np.cumsum(p)
+        index = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+        index = min(index, len(p) - 1)
     layout = state.layout
     bits = tuple((index >> layout.index_bit(pos)) & 1 for pos in range(layout.total))
     return BasisAssignment(bits)
@@ -395,6 +393,8 @@ def random_gate(targets, rng: np.random.Generator) -> LocalUnitary:
 
 def state_dump(state: StateVector, nonzero_only: bool = True) -> str:
     """Debug dump: one "index re im" line per amplitude, 17 significant digits."""
+    if nonzero_only and state.index is not None:
+        return f"{state.index} 1 0\n"
     lines = [f"{i} {amp.real:.17g} {amp.imag:.17g}"
              for i, amp in enumerate(state.amplitudes) if amp != 0 or not nonzero_only]
     return "\n".join(lines) + "\n"

@@ -6,6 +6,7 @@ import pytest
 from qqlab.analysis import (GapReport, adversary_bound_report,
                             build_hard_oracle, lemma1_check, lemma2_check,
                             pigeonhole_mutation_check, query_mass_matrix)
+from qqlab import kernels
 from qqlab.errors import TraceNotSucceededError
 from qqlab.harness import build_program
 from qqlab.oracles import BitWord, make_oracle, mutate, sample_uniform_oracle
@@ -255,6 +256,14 @@ class TestAdversaryBoundReport:
         with pytest.raises(ValueError):
             adversary_bound_report(concentrated_program(2, rounds), trace, 3, 1.0)
 
+    @pytest.mark.parametrize("T, epsilon", [(50, 1.0), (3, 7.0)])
+    def test_T_or_epsilon_of_another_trace_rejected(self, T, epsilon):
+        prog = concentrated_program(2, 2)
+        trace = build_hard_oracle(prog, 3, 1.0, 31)
+        assert trace.succeeded
+        with pytest.raises(ValueError):
+            adversary_bound_report(prog, trace, T, epsilon)
+
 
 class TestQueryMassMatrix:
     def test_never_queried_orbit_gives_zero_matrix(self):
@@ -420,6 +429,53 @@ def assert_report_matches(prog, trace, ref, T):
     assert rep.final_gap == l2_distance(primed[-1], fresh)
 
 
+def recorded_calls(monkeypatch, name):
+    """The positional arguments of every later call to kernels.<name>."""
+    calls = []
+    real = getattr(kernels, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+class TestEachChainStateOnce:
+    """chi_0 makes no query, so a mutated-oracle run starts from the f-run's
+    chi_0, and the bound report's fixed-final-oracle chain starts with the
+    trace's swapped step from chi_0: no chain state is stepped twice."""
+
+    @pytest.mark.parametrize("check", ["lemma2", "pigeonhole"])
+    def test_prelude_gates_applied_once(self, check, monkeypatch):
+        rng = generator(67, "once", 0)
+        prog = random_program(3, 2, 3, rng)  # Haar gates: every one runs a dense kernel
+        f = sample_uniform_oracle(3, rng)
+        calls = recorded_calls(monkeypatch, "apply_matrix_inplace")
+        if check == "lemma2":
+            lemma2_check(prog, f, w("010"), w("110"), w("000"))
+        else:
+            pigeonhole_mutation_check(prog, f, 4, w("000"), rng)
+        applied = [args[3] for args in calls]
+        for times, gates in ((1, prog.prelude), *((2, r) for r in prog.rounds)):
+            for u in gates:
+                assert sum(m is u.matrix for m in applied) == times
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_report_makes_3t_minus_1_queries(self, t, monkeypatch):
+        for seed in range(20):
+            rng = generator(67, "report-queries", seed)
+            prog = random_program(5, 2, t, rng)
+            trace = build_hard_oracle(prog, t + 1, 1.0, rng)
+            if trace.succeeded:
+                break
+        assert trace.succeeded
+        calls = recorded_calls(monkeypatch, "apply_query")
+        adversary_bound_report(prog, trace, t + 1, 1.0)
+        assert len(calls) == 3 * t - 1
+
+
 class TestStreamedChains:
     """lemma2 and the mass matrix need only running sums and the final
     state, so their peak memory does not grow with the round count."""
@@ -444,3 +500,27 @@ class TestStreamedChains:
 
         state_bytes = 16 * prog6.layout.dim
         assert peak(prog6) <= peak(truncate_after_query(prog6, 2)) + state_bytes
+
+    @pytest.mark.parametrize("t", [2, 4])
+    @pytest.mark.parametrize("check, states", [("lemma2", 4.5), ("pigeonhole", 4.5),
+                                               ("report", 4.5), ("mass_matrix", 3.75)])
+    def test_peak_in_states(self, check, states, t):
+        # a start state held through a whole run would break these bounds
+        rng = generator(61, "peaks", 0)
+        prog = random_program(8, 2, t, rng)  # 18 qubits: 4 MiB per state
+        f = sample_uniform_oracle(8, rng)
+        trace = build_hard_oracle(prog, t + 1, 1.0, rng)
+        assert trace.succeeded
+        x = BitWord.zero(8)
+        run = {"lemma2": lambda: lemma2_check(prog, f, BitWord(8, 3), BitWord(8, 200), x),
+               "pigeonhole": lambda: pigeonhole_mutation_check(prog, f, 8, x, 5),
+               "report": lambda: adversary_bound_report(prog, trace, t + 1, 1.0),
+               "mass_matrix": lambda: query_mass_matrix(prog, f, 8, x)}[check]
+        run()  # a first call may import modules lazily; measure the second
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= states * 16 * prog.layout.dim

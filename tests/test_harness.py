@@ -139,6 +139,18 @@ class TestFamilies:
         with pytest.raises(ConfigError):
             build_program("nope", 2, 2, None, 0, 0)
 
+    def test_round_rule_holds_for_library_calls(self):
+        # the t a family can take is checked where its programs are built,
+        # not only when a config is validated
+        with pytest.raises(ConfigError, match="classical-emulation"):
+            build_program("classical-emulation", 2, 3, 1, 0, 0)
+        with pytest.raises(ConfigError, match="classical-emulation"):
+            exact_census("classical-emulation", 2, 3, t=1)
+        with pytest.raises(ConfigError, match="truncated-emulation"):
+            exact_census("truncated-emulation", 2, 3, t=5)
+        assert exact_census("classical-emulation", 1, 2, t=2).t == 2
+        assert exact_census("truncated-emulation", 1, 2, t=2).t == 2
+
 
 class TestSweeps:
     def test_lemma1_sweep_clean(self):

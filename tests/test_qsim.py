@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,7 +111,6 @@ class TestLocalUnitary:
     def test_target_cap(self):
         with pytest.raises(TargetOutOfRangeError):
             LocalUnitary(tuple(range(5)), np.eye(32, dtype=complex))
-        LocalUnitary(tuple(range(5)), np.eye(32, dtype=complex), max_targets=5)
 
     def test_out_of_range_at_apply(self):
         lay = QubitLayout(0, 1)
@@ -490,6 +491,23 @@ class TestIndexForm:
         lay = QubitLayout(1, 2)
         st_ = basis_state(lay, BasisAssignment((1, 0, 1, 1, 0)))
         assert st_.index == int(np.flatnonzero(st_.amplitudes)[0])
+
+    def test_observe_and_dump_build_no_array(self):
+        # 20 qubits: the dense array would take 16 MiB
+        lay = QubitLayout(4, 8)
+        basic = StateVector.basic(lay, 0xB_2C_4D)
+        r1, r2 = generator(53, "observe", 0), generator(53, "observe", 0)
+        tracemalloc.start()
+        try:
+            got = observe(basic, r1)
+            dump = state_dump(basic)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20 and held < 1 << 16
+        assert dump == f"{0xB_2C_4D} 1 0\n"
+        assert got == observe(dense_twin(basic), r2)
+        assert r1.random() == r2.random()  # one draw each, as on the dense path
 
     def test_index_outside_the_layout_rejected(self):
         lay = QubitLayout(0, 1)
