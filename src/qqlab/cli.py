@@ -153,6 +153,9 @@ def cli_main(argv=None) -> int:
             OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except MemoryError as e:
+        print(f"error: the layout does not fit in memory: {e}", file=sys.stderr)
+        return 2
     except QqlabError as e:
         print(f"check failed: {e}", file=sys.stderr)
         return 1

@@ -137,10 +137,10 @@ def read_config(path, kind: str | None = None) -> dict:
     when the file has none and must match the file's when both are given;
     the file may set only the fields its kind reads (KIND_FIELDS), so an
     unknown key is refused too."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: not valid JSON: {e}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

@@ -4,19 +4,20 @@ Everything here works on a flat complex128 array of length 2**nbits and a
 set of *index bits* (bit 0 = least significant bit of the flat index).
 Callers translate qubit positions to index bits; kernels never see layouts.
 
-Gates are applied in place on a caller-owned buffer.  Permutation gates
-(X, CNOT, Toffoli, ...) are dispatched to strided slice rotations; dense
-gates use slice views for 1-2 targets and one matrix product over the
-target axes of the (2,)*nbits view for 3-4 targets.  No kernel keeps
-anything between calls, and none holds more than two state-sized
-temporaries at once.
+Gates are applied in place on a caller-owned buffer, all addressed
+through one view: the (2,)*nbits reshape with the target axes moved to
+the front, bits[0] first, indexed by local pattern.  Permutation gates
+(X, CNOT, Toffoli, ...) rotate its pattern slices cycle by cycle; dense
+gates combine the slices for 1-2 targets and take one matrix product over
+the target axes for 3-4 targets.  No kernel keeps anything between calls,
+and none holds more than two state-sized temporaries at once.
 
 A state with one nonzero amplitude 1 stays one under permutation gates and
 the XOR query, so it can be carried as its flat index alone (the index
 form of `qsim.StateVector`): `permute_index` and `query_index` step such
-an index exactly as
-`apply_permutation_inplace` and `apply_query` move the amplitude, with the
-same bit conventions and no array of length 2**nbits.
+an index exactly as `apply_permutation_inplace` and `apply_query` move
+the amplitude, with the same bit conventions and no array of length
+2**nbits.
 """
 
 from __future__ import annotations
@@ -24,27 +25,20 @@ from __future__ import annotations
 import numpy as np
 
 
-def _axis_index(nbits: int, fixed: dict[int, int]) -> tuple:
+def _target_view(amps: np.ndarray, nbits: int, bits: tuple[int, ...]) -> np.ndarray:
     # reshape((2,)*nbits) puts the most significant index bit on axis 0;
-    # fixed axes use length-1 slices so the result stays a writable view
-    # even when every bit is fixed
-    def sel(axis):
-        bit = nbits - 1 - axis
-        if bit in fixed:
-            v = fixed[bit]
-            return slice(v, v + 1)
-        return slice(None)
-    return tuple(sel(axis) for axis in range(nbits))
-
-
-def bit_slice(amps: np.ndarray, nbits: int, fixed: dict[int, int]) -> np.ndarray:
-    """Strided view of the amplitudes whose given index bits are fixed."""
-    return amps.reshape((2,) * nbits)[_axis_index(nbits, fixed)]
+    # view[l_0, ..., l_{k-1}, ...] holds the amplitudes whose targets read
+    # l_0 ... l_{k-1}, a writable view even when every bit is a target
+    return np.moveaxis(amps.reshape((2,) * nbits), [nbits - 1 - b for b in bits],
+                       range(len(bits)))
 
 
 def as_permutation(matrix: np.ndarray) -> np.ndarray | None:
     """Return P with matrix[P[j], j] = 1 if the matrix is an exact 0/1 permutation."""
     m = matrix
+    # every permutation matrix starts with 0 or 1: most dense gates stop here
+    if m[0, 0] != 0 and m[0, 0] != 1:
+        return None
     if not np.all((m == 0) | (m == 1)):
         return None
     if not (np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1)):
@@ -67,11 +61,6 @@ def _cycles(perm: np.ndarray) -> list[list[int]]:
     return cycles
 
 
-def _pattern(bits: tuple[int, ...], local: int) -> dict[int, int]:
-    k = len(bits)
-    return {bits[j]: (local >> (k - 1 - j)) & 1 for j in range(k)}
-
-
 def read_bits(index: int, bits: tuple[int, ...]) -> int:
     """The integer read MSB-first off the given bits of a flat index."""
     value = 0
@@ -83,26 +72,28 @@ def read_bits(index: int, bits: tuple[int, ...]) -> int:
 def permute_index(index: int, bits: tuple[int, ...], perm: np.ndarray) -> int:
     """Where apply_permutation_inplace moves the amplitude at index."""
     new = int(perm[read_bits(index, bits)])
-    for b, v in _pattern(bits, new).items():
-        index = (index & ~(1 << b)) | (v << b)
+    for b in reversed(bits):
+        index = (index & ~(1 << b)) | ((new & 1) << b)
+        new >>= 1
     return index
 
 
 def apply_permutation_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
                               perm: np.ndarray) -> None:
     """Relabel target-bit patterns: new[perm[l]] = old[l], slicewise."""
+    view = _target_view(amps, nbits, bits)
+    local = (2,) * len(bits)
     for cyc in _cycles(perm):
         # new[c1] = old[c0], new[c2] = old[c1], ...: shift backwards with one temp
-        views = [bit_slice(amps, nbits, _pattern(bits, c)) for c in cyc]
+        views = [view[np.unravel_index(c, local) + (...,)] for c in cyc]
         tmp = views[-1].copy()
         for j in range(len(cyc) - 1, 0, -1):
             views[j][...] = views[j - 1]
         views[0][...] = tmp
 
 
-def _apply_dense_1q_inplace(amps, nbits, bit, u):
-    v0 = bit_slice(amps, nbits, {bit: 0})
-    v1 = bit_slice(amps, nbits, {bit: 1})
+def _apply_dense_1q_inplace(view, u):
+    v0, v1 = view[0, ...], view[1, ...]
     t0 = v0.copy()
     v0 *= u[0, 0]
     v0 += u[0, 1] * v1
@@ -110,8 +101,8 @@ def _apply_dense_1q_inplace(amps, nbits, bit, u):
     v1 += u[1, 0] * t0
 
 
-def _apply_dense_2q_inplace(amps, nbits, bits, u):
-    views = [bit_slice(amps, nbits, _pattern(bits, l)) for l in range(4)]
+def _apply_dense_2q_inplace(view, u):
+    views = [view[l >> 1, l & 1, ...] for l in range(4)]
     olds = [views[0].copy(), views[1].copy(), views[2].copy(), views[3]]
     for row in range(4):
         acc = u[row, 0] * olds[0]
@@ -133,16 +124,14 @@ def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
         apply_permutation_inplace(amps, nbits, bits, perm)
         return
     k = len(bits)
+    view = _target_view(amps, nbits, bits)
     if k == 1:
-        _apply_dense_1q_inplace(amps, nbits, bits[0], matrix)
+        _apply_dense_1q_inplace(view, matrix)
     elif k == 2:
-        _apply_dense_2q_inplace(amps, nbits, bits, matrix)
+        _apply_dense_2q_inplace(view, matrix)
     else:
-        # target axes first, bits[0] leading: rows are local patterns and
-        # columns the other bits in flat order, so one matrix product
-        moved = np.moveaxis(amps.reshape((2,) * nbits), [nbits - 1 - b for b in bits],
-                            range(k))
-        moved[...] = (matrix @ moved.reshape(1 << k, -1)).reshape(moved.shape)
+        # rows are local patterns, columns the other bits in flat order
+        view[...] = (matrix @ view.reshape(1 << k, -1)).reshape(view.shape)
 
 
 def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.ndarray:

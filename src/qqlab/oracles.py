@@ -66,13 +66,14 @@ class BitWord:
 
 @dataclass(frozen=True)
 class OracleTable:
-    """A total length-preserving function on words of one width."""
+    """A total length-preserving function on words of one width.  The
+    constructor copies `values`, so the caller's array is left as it was."""
 
     width: int
     values: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
+        v = np.array(self.values, dtype=np.int64)
         if v.shape != (1 << self.width,):
             raise LengthMismatchError(
                 f"table must have {1 << self.width} entries, got {v.shape}")
@@ -187,7 +188,7 @@ def diff_set(f: OracleTable, g: OracleTable) -> WordSet:
 def all_oracles(n: int) -> Iterator[OracleTable]:
     """Every table of width n, in lexicographic table order (2**(n*2**n) of them)."""
     for values in itertools.product(range(1 << n), repeat=1 << n):
-        yield OracleTable(n, np.array(values, dtype=np.int64))
+        yield OracleTable(n, values)
 
 
 def oracle_to_text(f: OracleTable) -> str:
@@ -224,5 +225,9 @@ def save_oracle(f: OracleTable, path) -> None:
 
 
 def load_oracle(path) -> OracleTable:
-    with open(path) as fh:
-        return oracle_from_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: oracle file is not UTF-8 text: {e}") from None
+    return oracle_from_text(text)

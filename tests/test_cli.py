@@ -68,6 +68,24 @@ class TestInputErrors:
         self.assert_input_error(["iterate", "--oracle", str(path), "--x", "00", "--k", "1"],
                                 capsys)
 
+    def test_oracle_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"n=1\n0 1\n1 0\xff\n")
+        self.assert_input_error(["iterate", "--oracle", str(path), "--x", "0", "--k", "1"],
+                                capsys)
+
+    def test_config_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_bytes(b'{"kind": "lemma1", "n": 2\xff}')
+        self.assert_input_error(["lemma1", "--config", str(path), "--trials", "1"], capsys)
+
+    def test_layout_too_large_for_memory(self, monkeypatch, capsys):
+        # 50 qubits: the 8 PiB request exceeds any address space, so
+        # nothing is allocated whatever the overcommit policy
+        monkeypatch.setenv("QQLAB_QUBIT_CAP", "64")
+        self.assert_input_error(["lemma1", "--n", "25", "--tau-work", "0", "--trials", "1"],
+                                capsys)
+
     def test_config_field_of_wrong_type(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"kind": "lemma1", "n": "3"}))

@@ -1,7 +1,10 @@
-"""The reshape-view kernels against the index-table formulas they replaced.
+"""The view kernels against index-table references for every path.
 
-The references build full-size int64 index tables, as the kernels once did,
-and must agree with the kernels bit for bit.
+The references build full-size int64 index tables, as the kernels once did:
+one for each gate path (0/1 permutation, dense 1q and 2q with the kernels'
+operand order, 3-4-target matrix product), the XOR query and the readout.
+The gate paths must agree with the kernels byte for byte, signed zeros
+included, at any placement of the target bits.
 """
 
 import gc
@@ -15,8 +18,8 @@ from qqlab.qsim import haar_unitary
 from qqlab.rng import generator
 
 
-def gather_reference(amps, nbits, bits, matrix):
-    """Row l of the table holds the flat indices whose target bits read l."""
+def index_table(nbits, bits):
+    """Row l holds the flat indices whose target bits read l, bits[0] first."""
     k = len(bits)
     rest = [b for b in range(nbits) if b not in bits]
     r = np.arange(1 << len(rest), dtype=np.int64)
@@ -28,9 +31,36 @@ def gather_reference(amps, nbits, bits, matrix):
         for j in range(k):
             if (l >> (k - 1 - j)) & 1:
                 offs[l] |= 1 << bits[j]
-    gat = offs[:, None] | base[None, :]
+    return offs[:, None] | base[None, :]
+
+
+def gather_reference(amps, nbits, bits, matrix):
+    gat = index_table(nbits, bits)
     out = amps.copy()
     out[gat] = matrix @ amps[gat]
+    return out
+
+
+def permutation_reference(amps, nbits, bits, perm):
+    tab = index_table(nbits, bits)
+    out = amps.copy()
+    out[tab[perm]] = amps[tab]
+    return out
+
+
+def dense_reference(amps, nbits, bits, u):
+    """new[row] = u[row, 0] * old[0] + u[row, 1] * old[1] + ..., except that
+    the 1q row reads old[row] * u[row, row] first, as the kernel does."""
+    tab = index_table(nbits, bits)
+    old = amps[tab]
+    out = amps.copy()
+    if len(bits) == 1:
+        out[tab[0]] = old[0] * u[0, 0] + u[0, 1] * old[1]
+        out[tab[1]] = old[1] * u[1, 1] + u[1, 0] * old[0]
+        return out
+    for row in range(4):
+        out[tab[row]] = (u[row, 0] * old[0] + u[row, 1] * old[1]
+                         + u[row, 2] * old[2] + u[row, 3] * old[3])
     return out
 
 
@@ -56,6 +86,90 @@ def random_amps(nbits, rng):
 
 def pick_bits(nbits, k, rng):
     return tuple(int(b) for b in rng.choice(nbits, size=k, replace=False))
+
+
+def signed_zero_amps(nbits, rng):
+    """Random amplitudes with about a third of the parts set to +0 or -0."""
+    amps = random_amps(nbits, rng)
+    parts = amps.view(np.float64)
+    hit = rng.random(parts.size) < 1 / 3
+    parts[hit] = np.where(rng.random(hit.sum()) < 0.5, -0.0, 0.0)
+    return amps
+
+
+def place_bits(placement, k, rng):
+    """(nbits, bits) for k targets at 1-16 qubits, in a shuffled order."""
+    nbits = k if placement == "all" else int(rng.integers(k, 17))
+    if placement == "random":
+        return nbits, pick_bits(nbits, k, rng)
+    start = (int(rng.integers(0, nbits - k + 1)) if placement == "adjacent"
+             else nbits - k if placement == "leading" else 0)
+    return nbits, tuple(int(b) for b in rng.permutation(range(start, start + k)))
+
+
+PLACEMENTS = ["random", "adjacent", "leading", "trailing", "all"]
+
+
+def monomial_unitary(dim, rng):
+    """A permutation matrix with unit phases: dense path, many exact zeros."""
+    phases = np.exp(2j * np.pi * rng.random(dim))
+    return np.eye(dim, dtype=np.complex128)[rng.permutation(dim)] * phases
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_permutation_gate_matches_index_table_byte_for_byte(placement, k):
+    rng = generator(41, f"permutation-{placement}", k)
+    for _ in range(6):
+        nbits, bits = place_bits(placement, k, rng)
+        perm = rng.permutation(1 << k)
+        matrix = np.eye(1 << k, dtype=np.complex128)[:, perm]
+        assert np.array_equal(kernels.as_permutation(matrix), perm)
+        amps = signed_zero_amps(nbits, rng)
+        ref = permutation_reference(amps, nbits, bits, perm)
+        kernels.apply_matrix_inplace(amps, nbits, bits, matrix)
+        assert amps.tobytes() == ref.tobytes(), (nbits, bits)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [1, 2])
+def test_dense_gate_matches_index_table_byte_for_byte(placement, k):
+    rng = generator(41, f"dense-{placement}", k)
+    for trial in range(8):
+        nbits, bits = place_bits(placement, k, rng)
+        u = (haar_unitary if trial % 2 else monomial_unitary)(1 << k, rng)
+        assert kernels.as_permutation(u) is None
+        amps = signed_zero_amps(nbits, rng)
+        ref = dense_reference(amps, nbits, bits, u)
+        kernels.apply_matrix_inplace(amps, nbits, bits, u)
+        assert amps.tobytes() == ref.tobytes(), (nbits, bits)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [3, 4])
+def test_gather_gate_matches_index_table_byte_for_byte(placement, k):
+    rng = generator(41, f"gather-{placement}", k)
+    for _ in range(4):
+        nbits, bits = place_bits(placement, k, rng)
+        u = haar_unitary(1 << k, rng)
+        amps = signed_zero_amps(nbits, rng)
+        ref = gather_reference(amps, nbits, bits, u)
+        kernels.apply_matrix_inplace(amps, nbits, bits, u)
+        assert amps.tobytes() == ref.tobytes(), (nbits, bits)
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+def test_permute_index_follows_the_permutation_kernel(placement):
+    rng = generator(41, f"permute-index-{placement}")
+    for trial in range(24):
+        k = trial % 4 + 1
+        nbits, bits = place_bits(placement, k, rng)
+        perm = rng.permutation(1 << k)
+        index = int(rng.integers(0, 1 << nbits))
+        amps = np.zeros(1 << nbits, dtype=np.complex128)
+        amps[index] = 1
+        kernels.apply_permutation_inplace(amps, nbits, bits, perm)
+        assert np.flatnonzero(amps).tolist() == [kernels.permute_index(index, bits, perm)]
 
 
 @pytest.mark.parametrize("trial", range(40))

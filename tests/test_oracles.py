@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qqlab.errors import LengthMismatchError, WidthMismatchError
-from qqlab.oracles import (BitWord, WordSet, all_oracles, diff_set, iterate,
+from qqlab.oracles import (BitWord, OracleTable, WordSet, all_oracles, diff_set, iterate,
                            load_oracle, make_oracle, mutate, oracle_from_text,
                            oracle_to_text, orbit, sample_uniform_oracle, save_oracle)
 from qqlab.rng import generator
@@ -56,6 +56,13 @@ class TestMakeOracle:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             make_oracle(2, [w("00")] * 3)
+
+    def test_constructor_leaves_the_callers_array_alone(self):
+        v = np.array([1, 0, 3, 2], dtype=np.int64)
+        f = OracleTable(2, v)
+        v[0] = 2
+        assert v.flags.writeable
+        assert f.values[0] == 1 and not f.values.flags.writeable
 
 
 class TestSampling:
