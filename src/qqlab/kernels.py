@@ -17,7 +17,12 @@ the XOR query, so it can be carried as its flat index alone (the index
 form of `qsim.StateVector`): `permute_index` and `query_index` step such
 an index exactly as `apply_permutation_inplace` and `apply_query` move
 the amplitude, with the same bit conventions and no array of length
-2**nbits.
+2**nbits.  A state with few nonzero amplitudes can be carried as its
+support, its ascending flat indices and their amplitudes:
+`support_query` and `support_gate` step a support as `apply_query` and
+`apply_matrix_inplace` (permutations and 1-2 target gates) step the full
+array, a dense gate through the dense kernel's own statements, so every
+nonzero amplitude gets the same bits.
 """
 
 from __future__ import annotations
@@ -61,12 +66,22 @@ def _cycles(perm: np.ndarray) -> list[list[int]]:
     return cycles
 
 
-def read_bits(index: int, bits: tuple[int, ...]) -> int:
-    """The integer read MSB-first off the given bits of a flat index."""
+def read_bits(index, bits: tuple[int, ...]):
+    """The integer read MSB-first off the given bits of a flat index (an
+    int, or elementwise an int64 array)."""
     value = 0
     for b in bits:
         value = (value << 1) | ((index >> b) & 1)
     return value
+
+
+def _write_bits(index: np.ndarray, bits: tuple[int, ...], value) -> np.ndarray:
+    """Each index with `value` written MSB-first onto the given bits, as
+    permute_index does for one; broadcast over the arrays."""
+    for b in reversed(bits):
+        index = (index & ~(1 << b)) | ((value & 1) << b)
+        value = value >> 1
+    return index
 
 
 def permute_index(index: int, bits: tuple[int, ...], perm: np.ndarray) -> int:
@@ -152,6 +167,54 @@ def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.n
 def query_index(index: int, n: int, fvals: np.ndarray) -> int:
     """Where apply_query moves the amplitude at index."""
     return index ^ (int(fvals[index & ((1 << n) - 1)]) << n)
+
+
+def _sorted(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    order = np.argsort(idx, kind="stable")
+    return idx[order], vals[order]
+
+
+def support_query(idx: np.ndarray, vals: np.ndarray, n: int,
+                  fvals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """apply_query on a support (ascending int64 flat indices, their
+    amplitudes); returns fresh arrays, indices ascending."""
+    answers = np.asarray(fvals, dtype=np.int64)[idx & ((1 << n) - 1)]
+    return _sorted(idx ^ (answers << n), vals)
+
+
+def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
+                 matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """apply_matrix_inplace on a support (ascending int64 flat indices,
+    their nonzero amplitudes) for a 0/1 permutation on any bits or a dense
+    gate on 1-2 bits; returns fresh arrays in the same form.
+
+    A permutation relabels the indices.  A dense gate groups the indices
+    by their bits off the targets and scatters each group into one column
+    of a (2**k, groups) block, absent entries 0; the dense kernel's own
+    statements then combine the block rows, so each amplitude is computed
+    from the same operands in the same order as on the full array.  An
+    amplitude that comes out exactly 0 is dropped: where the full array
+    holds it, it may be -0.0.
+    """
+    pattern = read_bits(idx, bits)
+    perm = as_permutation(matrix)
+    if perm is not None:
+        return _sorted(_write_bits(idx, bits, perm[pattern]), vals)
+    k = len(bits)
+    if k > 2:
+        raise ValueError(f"support_gate runs dense gates on 1-2 bits, not {k}")
+    groups, column = np.unique(_write_bits(idx, bits, 0), return_inverse=True)
+    m = len(groups)
+    # at least two columns: numpy multiplies a one-element array in place
+    # on a scalar path that rounds differently from its array loops
+    block = np.zeros((1 << k, max(m, 2)), dtype=np.complex128)
+    block[pattern, column] = vals
+    dense = _apply_dense_1q_inplace if k == 1 else _apply_dense_2q_inplace
+    dense(block.reshape((2,) * k + (-1,)), matrix)
+    new = _write_bits(groups, bits, np.arange(1 << k, dtype=np.int64)[:, None]).ravel()
+    out = block[:, :m].ravel()
+    keep = out != 0
+    return _sorted(new[keep], out[keep])
 
 
 def address_masses(amps: np.ndarray, n: int) -> np.ndarray:

@@ -148,14 +148,24 @@ def sample_uniform_oracle(n: int, seed) -> OracleTable:
 
 
 def iterate(f: OracleTable, x: BitWord, k: int) -> BitWord:
-    """k-fold application f(f(...f(x))); k = 0 returns x unchanged."""
+    """k-fold application f(f(...f(x))); k = 0 returns x unchanged.
+
+    The walk enters a cycle within 2**n steps, so it stops at the first
+    word it has seen before and reads f^k(x) off the cycle: O(min(k, 2**n))
+    steps for any k."""
     if x.width != f.width:
         raise WidthMismatchError(f"word width {x.width} != oracle width {f.width}")
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
+    walk, first = [], {}  # the words in visiting order, and the step of each
     v = x.value
-    for _ in range(k):
+    while len(walk) < k and v not in first:
+        first[v] = len(walk)
+        walk.append(v)
         v = int(f.values[v])
+    if len(walk) < k:  # v was visited at step first[v]; the cycle has len(walk) - first[v] words
+        start = first[v]
+        v = walk[start + (k - start) % (len(walk) - start)]
     return BitWord(f.width, v)
 
 

@@ -16,8 +16,9 @@ gate's index bits are found once per program (`QueryProgram.blocks`).
 the adversary code in `analysis` step their states that way, so a basic
 input stays in the index form of `StateVector` through every 0/1
 permutation gate and query (the whole run, for the classical-emulation,
-truncated-emulation and concentrated families) and is densified at its
-first other gate.  This module never reads a state's form.
+truncated-emulation and concentrated families), and from its first other
+gate on is carried as its support while that stays small.  This module
+never reads a state's form.
 """
 
 from __future__ import annotations

@@ -14,14 +14,23 @@ Register/encoding conventions (fixed, relied on by the file formats):
   target list, first target most significant.
 
 States are values: every operation returns a fresh vector and never
-mutates its inputs.  A basic state with amplitude 1 may be held in the
-index form, its flat index alone (`StateVector.basic`).  Only this module
-reads a state's form: `apply_round` keeps the index through queries and 0/1
-permutation gates, and masses, distances, readouts, samples and dumps of
-index-form states are read off the index, all with the dense path's bits.
-A state's form depends only on the gates it went through, so the pairs the
-analysis compares share a form.  The total qubit count is capped (default
-24, about 16M amplitudes); QQLAB_QUBIT_CAP overrides.
+mutates its inputs.  A state is held in one of three forms: dense, its
+2**N amplitudes; the index form, the flat index of a basic state with
+amplitude 1 (`StateVector.basic`); or its support, the ascending flat
+indices of its nonzero amplitudes and those amplitudes.  Only this module
+reads a state's form.  `apply_round` keeps the index through queries and
+0/1 permutation gates, turns it into a support of one at the first other
+gate, steps a support through queries, permutations and 1-2 target gates
+(`kernels.support_query`, `kernels.support_gate`), and densifies it into
+one fresh buffer before a 3-4 target dense gate or once a gate could
+leave it more than 1/SUPPORT_SHARE of the amplitudes.  Every reader
+(masses, distances, readouts, samples, dumps) has one branch for a state
+not held dense, which sees an index-form state as a support of one, and
+gives the dense path's bits.  Compared states may be in different forms.
+Chain states agree with the dense path's value for value; only the sign
+of a zero amplitude can differ, which no reader sees.  The total qubit
+count is capped (default 24, about 16M amplitudes); QQLAB_QUBIT_CAP
+overrides.
 """
 
 from __future__ import annotations
@@ -42,6 +51,11 @@ from .rng import as_generator
 DEFAULT_QUBIT_CAP = 24
 UNITARITY_TOL = 1e-9
 MAX_GATE_TARGETS = 4
+# a support goes dense before a k-target gate that could grow it past
+# 1/SUPPORT_SHARE of the amplitudes, len(support) * 2**k * SUPPORT_SHARE
+# > 2**N, so a small layout, where the dense kernels are as fast, goes
+# dense within a few gates
+SUPPORT_SHARE = 16
 
 
 def qubit_cap() -> int:
@@ -133,39 +147,42 @@ class StateVector:
     carry any norm (query masses remain meaningful on them).
 
     A basic state with amplitude 1 can be held as its flat `index` alone
-    (`StateVector.basic`); its read-only `amplitudes` are then built on
-    first access and kept.  A state given by its amplitudes has index None;
-    the constructor copies them, so the caller's array is left as it was.
-    Treat both attributes as read-only.
+    (`StateVector.basic`), and `apply_round` may hold a state as its
+    support; the read-only `amplitudes` of either are built on first access
+    and kept.  Only the index form has an index; a state given by its
+    amplitudes has index None, and the constructor copies them, so the
+    caller's array is left as it was.  Treat both attributes as read-only.
     """
 
-    __slots__ = ("layout", "index", "_amplitudes")
+    __slots__ = ("layout", "index", "_support", "_amplitudes")
 
     def __init__(self, layout: QubitLayout, amplitudes):
         a = np.array(amplitudes, dtype=np.complex128)
         if a.shape != (layout.dim,):
             raise LayoutMismatchError(f"expected {layout.dim} amplitudes, got {a.shape}")
         a.flags.writeable = False
-        self.layout, self.index, self._amplitudes = layout, None, a
+        self.layout, self.index, self._support, self._amplitudes = layout, None, None, a
 
     @classmethod
     def basic(cls, layout: QubitLayout, index: int) -> "StateVector":
         """The basic state at a flat index, amplitude 1, with no array."""
         if not 0 <= index < layout.dim:
             raise LayoutMismatchError(f"index {index} outside 0..{layout.dim - 1}")
-        return cls._of(layout, index, None)
+        return cls._of(layout, index, None, None)
 
     @classmethod
-    def _of(cls, layout: QubitLayout, index, amplitudes) -> "StateVector":
-        """No check, no copy: an index in range or a read-only fresh buffer."""
+    def _of(cls, layout: QubitLayout, index, support, amplitudes) -> "StateVector":
+        """No check, no copy: one of an index in range, a read-only support
+        (ascending indices, nonzero amplitudes) or a read-only fresh buffer."""
         state = cls.__new__(cls)
-        state.layout, state.index, state._amplitudes = layout, index, amplitudes
+        state.layout, state.index = layout, index
+        state._support, state._amplitudes = support, amplitudes
         return state
 
     @property
     def amplitudes(self) -> np.ndarray:
         if self._amplitudes is None:
-            self._amplitudes = _one_hot(self.layout.dim, self.index, np.complex128)
+            self._amplitudes = _scattered(self.layout.dim, _support(self))
             self._amplitudes.flags.writeable = False
         return self._amplitudes
 
@@ -174,9 +191,23 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def _one_hot(size: int, index: int, dtype) -> np.ndarray:
-    a = np.zeros(size, dtype=dtype)
-    a[index] = 1.0
+_UNIT = np.ones(1, dtype=np.complex128)
+_UNIT.flags.writeable = False
+
+
+def _support(state: StateVector):
+    """(indices, amplitudes) of a state not held dense, an index-form state
+    as a support of one; None for a dense state."""
+    if state.index is not None:
+        return np.array([state.index], dtype=np.int64), _UNIT
+    return state._support
+
+
+def _scattered(size: int, support) -> np.ndarray:
+    """A fresh dense buffer holding a support, zeros elsewhere."""
+    idx, vals = support
+    a = np.zeros(size, dtype=np.complex128)
+    a[idx] = vals
     return a
 
 
@@ -234,29 +265,43 @@ def gate_block(layout: QubitLayout, gates) -> tuple:
 def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector:
     """The XOR query under f (none if f is None), then a `gate_block`'s gates.
     An index-form state keeps its form up to the first gate that is not a
-    0/1 permutation, which densifies it into one fresh buffer for the rest
-    of the block; the input is never written."""
+    0/1 permutation, where it becomes a support of one.  A support stays
+    one through queries, permutations and 1-2 target gates, and densifies
+    into one fresh buffer for the rest of the block before a 3-4 target
+    dense gate or a gate that could grow it past 1/SUPPORT_SHARE of the
+    amplitudes.  The input is never written."""
     layout = state.layout
     n, nbits = layout.query_width, layout.total
     if f is not None and f.width != n:
         raise WidthMismatchError(f"oracle width {f.width} != query width {n}")
-    index, amps = state.index, None
-    if index is None:
+    index, support, amps = state.index, state._support, None
+    if index is None and support is None:
         amps = state.amplitudes.copy() if f is None else kernels.apply_query(
             state.amplitudes, nbits, n, f.values)
     elif f is not None:
-        index = kernels.query_index(index, n, f.values)
+        if index is not None:
+            index = kernels.query_index(index, n, f.values)
+        else:
+            support = kernels.support_query(*support, n, f.values)
     for bits, u in block:
-        if amps is None:
+        if index is not None:
             if u.permutation is not None:
                 index = kernels.permute_index(index, bits, u.permutation)
                 continue
-            amps = _one_hot(layout.dim, index, np.complex128)
+            support, index = _support(StateVector.basic(layout, index)), None
+        if support is not None:
+            if u.permutation is not None or (len(bits) <= 2 and (
+                    len(support[0]) << len(bits)) * SUPPORT_SHARE <= layout.dim):
+                support = kernels.support_gate(*support, bits, u.matrix)
+                continue
+            amps, support = _scattered(layout.dim, support), None
         kernels.apply_matrix_inplace(amps, nbits, bits, u.matrix)
-    if amps is None:
-        return StateVector._of(layout, index, None)
-    amps.flags.writeable = False
-    return StateVector._of(layout, None, amps)
+    if amps is not None:
+        amps.flags.writeable = False
+    elif support is not None:
+        for a in support:
+            a.flags.writeable = False
+    return StateVector._of(layout, index, support, amps)
 
 
 def apply_local_unitary(state: StateVector, u: LocalUnitary) -> StateVector:
@@ -272,9 +317,33 @@ def apply_query(state: StateVector, f: OracleTable) -> StateVector:
 def query_masses(vector: StateVector) -> np.ndarray:
     """Mass on every address word at once (length 2**n array)."""
     n = vector.layout.query_width
-    if vector.index is not None:  # one-hot on the state's address word
-        return (np.arange(1 << n) == (vector.index & ((1 << n) - 1))).astype(np.float64)
-    return kernels.address_masses(vector.amplitudes, n)
+    support = _support(vector)
+    if support is None:
+        return kernels.address_masses(vector.amplitudes, n)
+    # the dense axis-0 sum adds each word's entries in flat index order, as
+    # bincount does over the ascending indices; the zeros left out add nothing
+    idx, vals = support
+    return np.bincount(idx & ((1 << n) - 1), weights=vals.real ** 2 + vals.imag ** 2,
+                       minlength=1 << n)
+
+
+def _column(vector: StateVector, a: int) -> np.ndarray:
+    """The amplitudes with address word a, in flat index order; a state not
+    held dense has them scattered into zeros, because the pairwise sum of
+    their squares rounds by position."""
+    n = vector.layout.query_width
+    support = _support(vector)
+    if support is None:
+        return vector.amplitudes.reshape(-1, 1 << n)[:, a]
+    idx, vals = support
+    on_a = (idx & ((1 << n) - 1)) == a
+    column = np.zeros(vector.layout.dim >> n, dtype=np.complex128)
+    column[idx[on_a] >> n] = vals[on_a]
+    return column
+
+
+def _squares_sum(column: np.ndarray) -> float:
+    return float((column.real ** 2 + column.imag ** 2).sum())
 
 
 def query_mass(vector: StateVector, a: BitWord) -> float:
@@ -286,25 +355,28 @@ def query_mass(vector: StateVector, a: BitWord) -> float:
     n = vector.layout.query_width
     if a.width != n:
         raise WidthMismatchError(f"word width {a.width} != query width {n}")
-    if vector.index is not None:
-        return float(vector.index & ((1 << n) - 1) == a.value)
-    block = vector.amplitudes.reshape(-1, 1 << n)[:, a.value]
-    return float((block.real ** 2 + block.imag ** 2).sum())
+    support = _support(vector)
+    if support is not None:
+        idx, vals = support
+        on_a = vals[(idx & ((1 << n) - 1)) == a.value].tolist()
+        if len(on_a) <= 2:  # a sum with at most two nonzero terms rounds alike in any order
+            return float(sum(v.real * v.real + v.imag * v.imag for v in on_a))
+    return _squares_sum(_column(vector, a.value))
 
 
 def difference_mass(v1: StateVector, v2: StateVector, a: BitWord) -> float:
-    """query_mass of the vector v1 - v2 on a, bit for bit, from a's column alone:
-    off the indices of two index-form states, else off their amplitudes."""
+    """query_mass of the vector v1 - v2 on a, bit for bit, from a's column
+    alone, in any pair of forms."""
     if v1.layout != v2.layout:
         raise LayoutMismatchError("states use different layouts")
     if v1.index is not None and v2.index is not None:
         # the difference is +1 at one index and -1 at the other, or zero
-        return 0.0 if v1.index == v2.index else query_mass(v1, a) + query_mass(v2, a)
+        mask = (1 << v1.layout.query_width) - 1
+        return 0.0 if v1.index == v2.index else float(
+            (v1.index & mask == a.value) + (v2.index & mask == a.value))
     if a.width != v1.layout.query_width:
         raise WidthMismatchError(f"word width {a.width} != query width {v1.layout.query_width}")
-    column = lambda v: v.amplitudes.reshape(-1, 1 << a.width)[:, a.value]
-    d = column(v1) - column(v2)
-    return float((d.real ** 2 + d.imag ** 2).sum())
+    return _squares_sum(_column(v1, a.value) - _column(v2, a.value))
 
 
 def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float:
@@ -319,40 +391,67 @@ def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float
 
 
 def l2_distance(v1: StateVector, v2: StateVector) -> float:
+    """Euclidean distance, in any pair of forms, with the dense path's bits."""
     if v1.layout != v2.layout:
         raise LayoutMismatchError("states use different layouts")
     if v1.index is not None and v2.index is not None:
         return 0.0 if v1.index == v2.index else float(np.sqrt(2.0))
-    return float(np.linalg.norm(v1.amplitudes - v2.amplitudes))
+    s1, s2 = _support(v1), _support(v2)
+    if s1 is None and s2 is None:
+        return float(np.linalg.norm(v1.amplitudes - v2.amplitudes))
+    # one state-sized buffer: a norm over the union of the supports rounds
+    # differently from the dense norm
+    diff = v1.amplitudes.copy() if s1 is None else _scattered(v1.layout.dim, s1)
+    if s2 is None:
+        diff -= v2.amplitudes
+    else:
+        diff[s2[0]] -= s2[1]
+    return float(np.linalg.norm(diff))
 
 
 def readout_distribution(state: StateVector, positions) -> np.ndarray:
     """Probability of each value read MSB first off the given qubit positions."""
     bits = state.layout.index_bits(positions)
-    if state.index is not None:
-        return _one_hot(1 << len(bits), kernels.read_bits(state.index, bits), np.float64)
-    return kernels.value_distribution(state.amplitudes, state.layout.total, bits)
+    support = _support(state)
+    if support is None:
+        return kernels.value_distribution(state.amplitudes, state.layout.total, bits)
+    idx, vals = support
+    k = len(bits)
+    if len(idx) == 1:  # one basic state (every index-form state): one bin, no label arrays
+        out, v = np.zeros(1 << k), complex(vals[0])
+        out[kernels.read_bits(int(idx[0]), bits)] = v.real * v.real + v.imag * v.imag
+        return out
+    # bincount over the ascending indices adds as the dense path does
+    values = (idx[:, None] >> np.array(bits, dtype=np.int64) & 1) @ np.array(
+        [1 << (k - 1 - j) for j in range(k)], dtype=np.int64)
+    return np.bincount(values, weights=vals.real ** 2 + vals.imag ** 2, minlength=1 << k)
 
 
 def observe(state: StateVector, seed) -> BasisAssignment:
     """Sample one basic state under the squared-magnitude distribution.
 
     Pure sampling: the stored state is never collapsed, so repeated calls
-    draw with replacement.  Deterministic given the seed.
+    draw with replacement.  Deterministic given the seed, and the same draw
+    in every form: the running sums of the nonzero squares are the dense
+    running sums where they step.
     """
     rng = as_generator(seed)
-    if state.index is not None:  # a certain outcome, after the dense path's one draw
-        rng.random()
-        index = state.index
-    else:
-        p = state.amplitudes.real ** 2 + state.amplitudes.imag ** 2
-        total = p.sum()
-        if abs(np.sqrt(total) - 1.0) > 1e-6:
-            raise NotNormalizedError(f"state norm {np.sqrt(total):.9f} is not 1 within 1e-6")
-        cum = np.cumsum(p)
-        index = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-        index = min(index, len(p) - 1)
     layout = state.layout
+    support = _support(state)
+    if support is None:
+        idx, vals = None, state.amplitudes
+    else:
+        idx, vals = support
+    p = vals.real ** 2 + vals.imag ** 2
+    total = p.sum()
+    if abs(np.sqrt(total) - 1.0) > 1e-6:
+        raise NotNormalizedError(f"state norm {np.sqrt(total):.9f} is not 1 within 1e-6")
+    cum = np.cumsum(p)
+    index = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    if idx is None or index == len(idx):  # past the end: the dense path's last index
+        index = min(index, layout.dim - 1)
+    else:
+        index = int(idx[index])
     bits = tuple((index >> layout.index_bit(pos)) & 1 for pos in range(layout.total))
     return BasisAssignment(bits)
 
@@ -392,9 +491,19 @@ def random_gate(targets, rng: np.random.Generator) -> LocalUnitary:
 
 
 def state_dump(state: StateVector, nonzero_only: bool = True) -> str:
-    """Debug dump: one "index re im" line per amplitude, 17 significant digits."""
-    if nonzero_only and state.index is not None:
-        return f"{state.index} 1 0\n"
+    """Debug dump: one "index re im" line per amplitude, 17 significant digits.
+
+    With nonzero_only=False every amplitude is listed, zeros included.  A
+    zero can then print as "-0" for a state stepped through the dense
+    kernels where the same state carried as its support prints "0": the
+    dense kernels write -0.0 across all-zero groups, and a support leaves
+    those entries out.  Nonzero lines are the same in every form.
+    """
+    support = _support(state)
+    if nonzero_only and support is not None:
+        pairs = zip(support[0].tolist(), support[1].tolist())
+    else:
+        pairs = enumerate(state.amplitudes)
     lines = [f"{i} {amp.real:.17g} {amp.imag:.17g}"
-             for i, amp in enumerate(state.amplitudes) if amp != 0 or not nonzero_only]
+             for i, amp in pairs if amp != 0 or not nonzero_only]
     return "\n".join(lines) + "\n"

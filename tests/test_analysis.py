@@ -6,7 +6,7 @@ import pytest
 from qqlab.analysis import (GapReport, adversary_bound_report,
                             build_hard_oracle, lemma1_check, lemma2_check,
                             pigeonhole_mutation_check, query_mass_matrix)
-from qqlab import kernels
+from qqlab import kernels, qsim
 from qqlab.errors import TraceNotSucceededError
 from qqlab.harness import build_program
 from qqlab.oracles import BitWord, make_oracle, mutate, sample_uniform_oracle
@@ -429,30 +429,31 @@ def assert_report_matches(prog, trace, ref, T):
     assert rep.final_gap == l2_distance(primed[-1], fresh)
 
 
-def recorded_calls(monkeypatch, name):
-    """The positional arguments of every later call to kernels.<name>."""
+def recorded_calls(monkeypatch, *names):
+    """The positional arguments of every later call to kernels.<name>, for
+    each of the names, in one list."""
     calls = []
-    real = getattr(kernels, name)
+    for name in names:
+        def counted(*args, real=getattr(kernels, name)):
+            calls.append(args)
+            return real(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(kernels, name, counted)
+        monkeypatch.setattr(kernels, name, counted)
     return calls
 
 
 class TestEachChainStateOnce:
     """chi_0 makes no query, so a mutated-oracle run starts from the f-run's
     chi_0, and the bound report's fixed-final-oracle chain starts with the
-    trace's swapped step from chi_0: no chain state is stepped twice."""
+    trace's swapped step from chi_0: no chain state is stepped twice.  Gates
+    and queries are counted on the dense and the support kernels alike."""
 
     @pytest.mark.parametrize("check", ["lemma2", "pigeonhole"])
     def test_prelude_gates_applied_once(self, check, monkeypatch):
         rng = generator(67, "once", 0)
         prog = random_program(3, 2, 3, rng)  # Haar gates: every one runs a dense kernel
         f = sample_uniform_oracle(3, rng)
-        calls = recorded_calls(monkeypatch, "apply_matrix_inplace")
+        calls = recorded_calls(monkeypatch, "apply_matrix_inplace", "support_gate")
         if check == "lemma2":
             lemma2_check(prog, f, w("010"), w("110"), w("000"))
         else:
@@ -471,7 +472,7 @@ class TestEachChainStateOnce:
             if trace.succeeded:
                 break
         assert trace.succeeded
-        calls = recorded_calls(monkeypatch, "apply_query")
+        calls = recorded_calls(monkeypatch, "apply_query", "support_query")
         adversary_bound_report(prog, trace, t + 1, 1.0)
         assert len(calls) == 3 * t - 1
 
@@ -524,3 +525,37 @@ class TestStreamedChains:
         finally:
             tracemalloc.stop()
         assert peak <= states * 16 * prog.layout.dim
+
+
+class TestEveryFormGivesTheSameReport:
+    """Whether chain states are carried as supports, go dense at the
+    default threshold or go dense at their first Haar gate, every report
+    field is the same, bit for bit."""
+
+    SHARES = (1 << 62, 0)  # dense at the first Haar gate; never dense by size
+
+    def reports(self, prog, f, T, trace_seed):
+        zero = BitWord.zero(prog.layout.query_width)
+        trace = build_hard_oracle(prog, prog.query_count + 1, 1.0, trace_seed)
+        out = [lemma2_check(prog, f, BitWord(f.width, 1), BitWord(f.width, 2), zero),
+               pigeonhole_mutation_check(prog, f, T, zero, 5),
+               [s.masses.tobytes() for s in trace.steps]]
+        m = query_mass_matrix(prog, f, T, zero)
+        out += [m.entries.tobytes(), m.row_sums.tobytes(), m.col_sums.tobytes()]
+        if trace.succeeded:
+            rep = adversary_bound_report(prog, trace, prog.query_count + 1, 1.0)
+            out += [rep.deltas, rep.drifts, rep.pivot_roots_primed, rep.final_gap,
+                    rep.premise_masses, rep.rows]
+        return [(r, r.extra) if isinstance(r, GapReport) else r for r in out]
+
+    @pytest.mark.parametrize("n, work", [(2, 8), (3, 6), (4, 4)])  # 12 qubits
+    def test_reports_match(self, n, work, monkeypatch):
+        for seed in range(3):
+            rng = generator(91, "forms", seed)
+            prog = random_program(n, work, 3, rng)
+            f = sample_uniform_oracle(n, rng)
+            want = self.reports(prog, f, 8, seed)
+            for share in self.SHARES:
+                monkeypatch.setattr(qsim, "SUPPORT_SHARE", share)
+                assert self.reports(prog, f, 8, seed) == want
+            monkeypatch.undo()

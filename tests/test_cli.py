@@ -30,6 +30,13 @@ class TestIterate:
         assert rc == 0
         assert capsys.readouterr().out.strip() == "1"
 
+    def test_a_huge_count_returns_at_once(self, tmp_path, capsys):
+        save_oracle(make_oracle(1, [w("1"), w("0")]), tmp_path / "f.txt")
+        rc = cli_main(["iterate", "--oracle", str(tmp_path / "f.txt"),
+                       "--x", "0", "--k", str(10 ** 18 + 1)])
+        assert rc == 0
+        assert capsys.readouterr().out.strip() == "1"
+
     def test_missing_file(self, tmp_path, capsys):
         rc = cli_main(["iterate", "--oracle", str(tmp_path / "nope.txt"),
                        "--x", "0", "--k", "1"])

@@ -126,6 +126,26 @@ class TestIterate:
         with pytest.raises(WidthMismatchError):
             iterate(f, w("0"), 1)
 
+    def test_matches_the_plain_walk(self):
+        for f in all_oracles(2):
+            for x in range(4):
+                v = x
+                for k in range(12):
+                    assert iterate(f, BitWord(2, x), k).value == v
+                    v = int(f.values[v])
+
+    def test_huge_counts_reduce_modulo_the_cycle(self):
+        k = 10 ** 18
+        for seed in range(20):
+            f = sample_uniform_oracle(6, seed)
+            x = BitWord(6, seed)
+            walk = [x.value]  # walk to the first repeat: tail, then one cycle
+            while walk.count(walk[-1]) == 1:
+                walk.append(int(f.values[walk[-1]]))
+            start = walk.index(walk[-1])
+            cycle = len(walk) - 1 - start
+            assert iterate(f, x, k).value == walk[start + (k - start) % cycle]
+
 
 class TestMutate:
     def test_noop_mutation(self):

@@ -14,9 +14,8 @@ from qqlab.programs import (QueryProgram, classical_emulation_program, initial_s
                             load_program, output_distribution, program_from_json,
                             program_to_json, random_program, run, run_final, save_program,
                             success_probability, truncate_after_query)
-from qqlab.qsim import (BasisAssignment, QubitLayout, StateVector, apply_local_unitary,
-                        apply_query, basis_state, cnot_gate, l2_distance, query_mass,
-                        query_masses, random_gate)
+from qqlab.qsim import (BasisAssignment, QubitLayout, StateVector, apply_round, basis_state,
+                        cnot_gate, l2_distance, query_mass, query_masses, random_gate)
 from qqlab.rng import generator
 
 
@@ -256,16 +255,13 @@ class TestProgramFiles:
 
 
 def dense_chain(prog, f, x):
-    """Reference chain chi_0..chi_t stepped gate by gate on the full vector:
-    it starts from the input's amplitudes, so it never takes the index path."""
+    """Reference chain chi_0..chi_t stepped one block at a time on the full
+    vector: it starts from the input's amplitudes, so it never takes the
+    index or the support path."""
     state = StateVector(prog.layout, initial_state(prog.layout, x).amplitudes)
-    for g in prog.prelude:
-        state = apply_local_unitary(state, g)
-    chain = [state]
-    for rnd in prog.rounds:
-        state = apply_query(state, f)
-        for g in rnd:
-            state = apply_local_unitary(state, g)
+    chain = []
+    for i, block in enumerate(prog.blocks):
+        state = apply_round(state, f if i else None, block)
         chain.append(state)
     return chain
 
@@ -392,3 +388,56 @@ class TestBasisIndexPath:
                 assert kernels.read_bits(state.index, reg) == (words[j] if j <= i else 0)
             address = lay.index_bits(lay.address_positions)
             assert kernels.read_bits(state.index, address) == (words[i] if i < T else 0)
+
+
+ALL_FAMILIES = PERMUTATION_FAMILIES + ("random",)
+
+
+def with_haar_gates(prog, rng):
+    """The program with a Haar 1q gate opening the prelude and a Haar 2q gate
+    closing every round, so that its chain leaves the index form at once and
+    runs the family's permutation gates and queries on a support (or, past
+    the threshold, dense)."""
+    total = prog.layout.total
+
+    def haar(k):
+        return random_gate(tuple(int(p) for p in rng.choice(total, size=k, replace=False)), rng)
+
+    rounds = [r + (haar(min(2, total)),) for r in prog.rounds]
+    return QueryProgram(prog.layout, (haar(1),) + prog.prelude, rounds, prog.output_region)
+
+
+def assert_support_matches_dense(family, n, T, f, i):
+    """Returns how many chain states were held as supports."""
+    prog = with_haar_gates(build_program(family, n, T, None, 6, i), generator(81, family, i))
+    room = prog.layout.work_count >= n
+    x = BitWord(n, i % (1 << n) if room else 0)
+    ref = dense_chain(prog, f, x)
+    states = run(prog, f, x).states
+    assert len(states) == len(ref)
+    for got, want in zip(states, ref):
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert query_masses(got).tobytes() == query_masses(want).tobytes()
+    assert (output_distribution(prog, states[-1]).tobytes()
+            == output_distribution(prog, ref[-1]).tobytes())
+    return sum(s._support is not None for s in states)
+
+
+class TestSupportPath:
+    """Programs with Haar gates carry their states as supports while they
+    are small; every chain state, mass and readout must equal the dense
+    path's (states value for value, the rest byte for byte)."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_oracle_of_small_width(self, family, n):
+        supports = sum(assert_support_matches_dense(family, n, T, f, i)
+                       for i, f in enumerate(all_oracles(n)) for T in (1, 2, 3, 4))
+        assert supports > 0
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_random_width_three_oracles(self, family):
+        rng = generator(82, "support-path", 3)
+        assert sum(assert_support_matches_dense(family, 3, i % 4 + 1,
+                                                sample_uniform_oracle(3, rng), i)
+                   for i in range(12)) > 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qqlab import kernels, qsim
 from qqlab.errors import (CapExceededError, DuplicateTargetError, LayoutMismatchError,
                           NonUnitaryError, NotNormalizedError, TargetOutOfRangeError,
                           WidthMismatchError)
@@ -523,3 +524,110 @@ def test_constructor_leaves_the_callers_array_alone():
     b[0] = 0.5
     assert b.flags.writeable
     assert state.amplitudes[0] == 1.0 and not state.amplitudes.flags.writeable
+
+
+def support_state(lay, rng, gates=3):
+    """A random basic state stepped through Haar gates on 1-2 random
+    targets: small enough to stay in the support form."""
+    state = StateVector.basic(lay, int(rng.integers(lay.dim)))
+    for _ in range(gates):
+        targets = rng.choice(lay.total, size=int(rng.integers(1, 3)), replace=False)
+        state = apply_local_unitary(state, random_gate(targets, rng))
+    assert state.index is None and state._support is not None
+    return state
+
+
+def dense(state):
+    """The same state given by its amplitudes: every reader takes the dense path."""
+    return StateVector(state.layout, state.amplitudes)
+
+
+class TestSupportForm:
+    """A state carried as its support must give every reader and every step
+    the bits of the same state held dense, in every pairing of forms."""
+
+    LAYOUTS = [(6, 3), (10, 1), (4, 4), (2, 5), (0, 6)]  # 12 qubits: 4096 amplitudes
+
+    def cases(self):
+        rng = generator(71, "support-form", 0)
+        for tau, n in self.LAYOUTS:
+            lay = QubitLayout(tau, n)
+            for gates in (1, 2, 3):
+                yield lay, support_state(lay, rng, gates), rng
+
+    def test_readers_match_the_dense_state(self):
+        for lay, sup, rng in self.cases():
+            ref = dense(sup)
+            n = lay.query_width
+            assert query_masses(sup).tobytes() == query_masses(ref).tobytes()
+            for a in range(1 << n):
+                word = BitWord(n, a)
+                assert query_mass(sup, word) == query_mass(ref, word)
+            for k in range(5):
+                positions = tuple(int(p) for p in rng.choice(lay.total, size=k, replace=False))
+                assert (readout_distribution(sup, positions).tobytes()
+                        == readout_distribution(ref, positions).tobytes())
+            for seed in range(5):
+                r1, r2 = generator(72, "observe", seed), generator(72, "observe", seed)
+                assert observe(sup, r1) == observe(ref, r2)
+                assert r1.random() == r2.random()
+            assert state_dump(sup) == state_dump(ref)
+            assert sup.norm == ref.norm
+
+    def test_mixed_pairs_match_the_dense_pair(self):
+        for lay, sup, rng in self.cases():
+            n = lay.query_width
+            states = (sup, dense(sup), support_state(lay, rng, 2),
+                      StateVector.basic(lay, int(rng.integers(lay.dim))), random_state(lay, rng))
+            for v1 in states:
+                for v2 in states:
+                    want = l2_distance(dense(v1), dense(v2))
+                    assert np.float64(l2_distance(v1, v2)).tobytes() == np.float64(want).tobytes()
+                    for a in range(1 << n):
+                        word = BitWord(n, a)
+                        assert (difference_mass(v1, v2, word)
+                                == difference_mass(dense(v1), dense(v2), word))
+
+    def test_steps_match_the_dense_state(self):
+        toffoli = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
+        for lay, sup, rng in self.cases():
+            ref = dense(sup)
+            t = tuple(int(p) for p in rng.choice(lay.total, size=4, replace=False))
+            f = sample_uniform_oracle(lay.query_width, rng)
+            steps = [(lambda s: apply_query(s, f), True),
+                     (lambda s: apply_local_unitary(s, random_gate(t[:1], rng)), True),
+                     (lambda s: apply_local_unitary(s, random_gate(t[:2], rng)), True),
+                     (lambda s: apply_local_unitary(s, x_gate(t[0])), True),
+                     (lambda s: apply_local_unitary(s, cnot_gate(t[1], t[2])), True),
+                     (lambda s: apply_local_unitary(s, LocalUnitary(t[:3], toffoli)), True),
+                     (lambda s: apply_local_unitary(s, random_gate(t[:3], rng)), False),
+                     (lambda s: apply_local_unitary(s, random_gate(t, rng)), False)]
+            for step, keeps_support in steps:
+                rng_state = rng.bit_generator.state
+                got = step(sup)
+                rng.bit_generator.state = rng_state  # the same Haar matrix for the dense step
+                want = step(ref)
+                assert (got._support is not None) == keeps_support
+                assert np.array_equal(got.amplitudes, want.amplitudes)
+                assert query_masses(got).tobytes() == query_masses(want).tobytes()
+                sup, ref = got, want
+
+    def test_a_block_crosses_the_threshold_mid_block(self, monkeypatch):
+        # 10 qubits: a support goes dense before a 2q gate once it holds
+        # more than 1024 / (4 * SUPPORT_SHARE) = 16 amplitudes
+        lay = QubitLayout(4, 3)
+        rng = generator(73, "threshold", 0)
+        gates = [random_gate((2 * j, 2 * j + 1), rng) for j in range(5)]
+        block = qsim.gate_block(lay, gates)
+        start = StateVector.basic(lay, int(rng.integers(lay.dim)))
+        calls = {"support_gate": 0, "apply_matrix_inplace": 0}
+        for name in calls:
+            def counted(*args, name=name, real=getattr(kernels, name)):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        got = qsim.apply_round(start, None, block)
+        assert calls == {"support_gate": 3, "apply_matrix_inplace": 2}
+        assert got._support is None and got.index is None
+        want = qsim.apply_round(dense(start), None, block)
+        assert np.array_equal(got.amplitudes, want.amplitudes)
