@@ -20,10 +20,25 @@ Two kinds of facts are handled very differently here:
 
 The construction and the bound report step their chains with
 `qsim.apply_round`, as `programs.chain` does, and never read a state's
-form; each chain state is stepped once.  The report reads the trace in one
-pass, and mutated-oracle runs start from the f-run's chi_0, which makes no
-query.  `lemma2_check` and the mass matrix read `programs.chain` as a
-stream, keeping running sums and the final state only.
+form; each chain state is stepped at most once.  The report reads the
+trace in one pass, and mutated-oracle runs start from the f-run's chi_0,
+which makes no query.  `lemma2_check` and the mass matrix read
+`programs.chain` as a stream, keeping running sums and the final state
+only.
+
+A chain run beside a known one reuses the known chain's next state instead
+of stepping a round: while the two chains hold the same state, and that
+state carries no word where the two oracles differ (`qsim.occupied_words`:
+no nonzero amplitude there, which a mass of 0.0 does not show), the two
+XOR queries move every nonzero amplitude alike, the changed columns hold
+only zeros, and the gates after them give every nonzero amplitude the same
+bits.  The states then agree value for value, only the sign of zeros
+aside, which no reader sees, so every report keeps its bits.  The g-run of
+`lemma2_check`, the swapped steps and the fixed-final-oracle chain of the
+bound report, and its freshly-redirected chain (beside the fixed chain,
+restarted after the pass from the last trace state the two shared) reuse
+so; `pigeonhole_mutation_check` takes the f-run's final state when no
+pre-query state carries the mutated word, and steps from chi_0 otherwise.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ from .oracles import (BitWord, OracleTable, WordSet, iterate, mutate, orbit,
                       sample_uniform_oracle)
 from .programs import QueryProgram, chain, initial_state
 from .qsim import (StateVector, apply_query, apply_round, difference_mass, l2_distance,
-                   oracle_distance, query_mass, query_masses)
+                   occupied_words, oracle_distance, query_mass, query_masses)
 from .rng import as_generator
 
 TOL = 1e-9
@@ -81,14 +96,27 @@ def lemma1_check(state: StateVector, f: OracleTable, g: OracleTable,
     return GapReport(context, lhs, rhs)
 
 
+def _beside(state: StateVector, known: StateVector, following: StateVector,
+            g: OracleTable, changed: np.ndarray, block) -> StateVector:
+    """apply_round(state, g, block) for a chain stepped beside a known one
+    that went from `known` to `following` under an oracle differing from g
+    on the `changed` words: `following` itself while `state` is `known` and
+    carries none of those words."""
+    if state is known and not occupied_words(state)[changed].any():
+        return following
+    return apply_round(state, g, block)
+
+
 def lemma2_check(prog: QueryProgram, f: OracleTable, a: BitWord, y: BitWord,
                  input_word: BitWord, context: str = "hybrid") -> GapReport:
     """Hybrid bound: a single-word mutation moves the final state by at most
     twice the summed root query masses on that word across the rounds."""
     g = mutate(f, a, y)
+    changed = f.values != g.values
     roots = 0  # running sum over the pre-query states; the last state is final
     for i, state in enumerate(chain(prog, f, input_word)):
-        mutated = apply_round(mutated, g, prog.blocks[i]) if i else state
+        mutated = _beside(mutated, previous, state, g, changed, prog.blocks[i]) if i else state
+        previous = state if mutated is state else None  # no f-run state once the runs part
         if i < prog.query_count:
             roots += np.sqrt(query_mass(state, a))
     lhs = l2_distance(state, mutated)
@@ -278,9 +306,12 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     # pivot root, triangle step and drift (exact identities raise; they can
     # only fail on a simulator bug, never on an adversarial input), then for
     # i < t the premise (every disagreement word of (f_i, f_final) light in
-    # state i), the delta of state i under f_final, and the chain's next state
+    # state i), the delta of state i under f_final, and the chain's next state.
+    # The freshly-redirected chain is the fixed chain while that carries no
+    # x_t; from the first state that does, it is stepped after the pass from
+    # the last trace state the fixed chain still was, so no third chain is held
     premises, premise_masses, deltas, drifts, pivot_roots_primed = [], [], [], [0.0], []
-    primed = trace.steps[0].state
+    primed, fresh_is_primed, fresh_from = trace.steps[0].state, True, 0
     for i, step in enumerate(trace.steps):
         root_primed = float(np.sqrt(query_mass(primed, x_t)))
         pivot_roots_primed.append(root_primed)
@@ -292,22 +323,32 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
             raise QqlabError(f"drift recursion failed at i={i}: {drifts[i]} > {sum(deltas)}")
         if i == t:
             break
-        worst = float(step.masses[step.oracle.values != f_final.values].max(initial=0.0))
+        if fresh_is_primed:
+            if primed is step.state:
+                fresh_from = i
+            fresh_is_primed = not occupied_words(primed)[x_t.value]
+        changed = step.oracle.values != f_final.values
+        worst = float(step.masses[changed].max(initial=0.0))
         premise_masses.append(worst)
         premises.append(worst < threshold)
         block, following = prog.blocks[i + 1], trace.steps[i + 1].state
-        if i:  # the swapped state is dropped before the fixed chain steps
-            deltas.append(l2_distance(following, apply_round(step.state, f_final, block)))
-        primed = apply_round(primed, f_final, block)
-        drifts.append(l2_distance(following, primed))
-        if i == 0:  # from chi_0 the swapped step is the fixed chain's first state
-            deltas.append(drifts[1])
+        swapped = _beside(step.state, step.state, following, f_final, changed, block)
+        deltas.append(l2_distance(following, swapped))
+        if primed is step.state:  # the fixed chain is still the trace's: the same step
+            primed = swapped
+            drifts.append(deltas[-1])
+        else:
+            swapped = None  # dropped before the fixed chain steps
+            primed = apply_round(primed, f_final, block)
+            drifts.append(l2_distance(following, primed))
 
-    # chain under the freshly redirected oracle
     f_fresh = mutate(f_final, x_t, trace.final_value)
-    fresh = trace.steps[0].state
-    for block in prog.blocks[1:]:
-        fresh = apply_round(fresh, f_fresh, block)
+    if fresh_is_primed:
+        fresh = primed
+    else:
+        fresh = trace.steps[fresh_from].state
+        for block in prog.blocks[fresh_from + 1:]:
+            fresh = apply_round(fresh, f_fresh, block)
     final_gap = l2_distance(primed, fresh)
 
     chain_rhs = 2.0 * sum(pivot_roots_primed[:t])
@@ -397,8 +438,16 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     Cauchy-Schwarz, by the column mass."""
     states = chain(prog, f, input_word)
     mutated = next(states)  # chi_0 makes no query, so the g-run starts from it too
+    occupied = np.zeros(1 << f.width, dtype=bool)  # the words some pre-query state carries
+
+    def recorded(states):
+        for i, state in enumerate(states):
+            if i < prog.query_count:
+                np.logical_or(occupied, occupied_words(state), out=occupied)
+            yield state
+
     m, final_f = _mass_matrix_and_final_state(prog, f, T, input_word,
-                                              itertools.chain((mutated,), states))
+                                              recorded(itertools.chain((mutated,), states)))
     t = m.t
     j_star = int(np.argmin(m.col_sums))
     word = m.orbit_words[j_star]
@@ -408,8 +457,11 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     fresh = BitWord(f.width, int(rng.choice(others)))
     g = mutate(f, word, fresh)
 
-    for block in prog.blocks[1:]:
-        mutated = apply_round(mutated, g, block)
+    if occupied[word.value]:
+        for block in prog.blocks[1:]:
+            mutated = apply_round(mutated, g, block)
+    else:  # no pre-query state carries the mutated word: the g-run is the f-run
+        mutated = final_f
     lhs = l2_distance(final_f, mutated)
     per_round = 2.0 * float(np.sqrt(m.entries[:, j_star]).sum())
     cauchy = 2.0 * float(np.sqrt(t * m.col_sums[j_star]))

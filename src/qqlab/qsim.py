@@ -24,13 +24,16 @@ gate, steps a support through queries, permutations and 1-2 target gates
 (`kernels.support_query`, `kernels.support_gate`), and densifies it into
 one fresh buffer before a 3-4 target dense gate or once a gate could
 leave it more than 1/SUPPORT_SHARE of the amplitudes.  Every reader
-(masses, distances, readouts, samples, dumps) has one branch for a state
-not held dense, which sees an index-form state as a support of one, and
-gives the dense path's bits.  Compared states may be in different forms.
-Chain states agree with the dense path's value for value; only the sign
-of a zero amplitude can differ, which no reader sees.  The total qubit
-count is capped (default 24, about 16M amplitudes); QQLAB_QUBIT_CAP
-overrides.
+(masses, distances, readouts, samples, dumps, the words a state occupies)
+has one branch for a state not held dense, which sees an index-form state
+as a support of one, and gives the dense path's bits.  Compared states may
+be in different forms.  Chain states agree with the dense path's value for
+value; only the sign of a zero amplitude can differ, which no reader sees.
+`occupied_words` says which address words carry a nonzero amplitude: a
+round under g from a state that carries no word where f and g differ
+equals the round under f in that same sense, so a caller may reuse it.
+The total qubit count is capped (default 24, about 16M amplitudes);
+QQLAB_QUBIT_CAP overrides.
 """
 
 from __future__ import annotations
@@ -327,6 +330,22 @@ def query_masses(vector: StateVector) -> np.ndarray:
                        minlength=1 << n)
 
 
+def occupied_words(state: StateVector) -> np.ndarray:
+    """Whether some nonzero amplitude carries each address word (length 2**n
+    bool array).  It tests amplitudes, not masses: an amplitude below about
+    1e-162 squares to a mass of 0.0 and still moves under a query.  Where a
+    state carries none of the words on which f and g differ, the XOR query
+    under either moves every nonzero amplitude alike, so a round under g
+    equals the round under f value for value (only zeros may differ in sign)."""
+    n = state.layout.query_width
+    support = _support(state)
+    if support is None:  # one bool per amplitude, no complex temporary
+        return (state.amplitudes.reshape(-1, 1 << n) != 0).any(axis=0)
+    occupied = np.zeros(1 << n, dtype=bool)
+    occupied[support[0] & ((1 << n) - 1)] = True
+    return occupied
+
+
 def _column(vector: StateVector, a: int) -> np.ndarray:
     """The amplitudes with address word a, in flat index order; a state not
     held dense has them scattered into zeros, because the pairwise sum of
@@ -394,6 +413,8 @@ def l2_distance(v1: StateVector, v2: StateVector) -> float:
     """Euclidean distance, in any pair of forms, with the dense path's bits."""
     if v1.layout != v2.layout:
         raise LayoutMismatchError("states use different layouts")
+    if v1 is v2:  # a reused chain state: the norm of zeros
+        return 0.0
     if v1.index is not None and v2.index is not None:
         return 0.0 if v1.index == v2.index else float(np.sqrt(2.0))
     s1, s2 = _support(v1), _support(v2)

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,15 +7,17 @@ import pytest
 from qqlab.analysis import (GapReport, adversary_bound_report,
                             build_hard_oracle, lemma1_check, lemma2_check,
                             pigeonhole_mutation_check, query_mass_matrix)
-from qqlab import kernels, qsim
+from qqlab import analysis, kernels, qsim
 from qqlab.errors import TraceNotSucceededError
 from qqlab.harness import build_program
-from qqlab.oracles import BitWord, make_oracle, mutate, sample_uniform_oracle
+from qqlab.oracles import (BitWord, OracleTable, all_oracles, iterate, make_oracle, mutate,
+                           sample_uniform_oracle)
 from qqlab.programs import (QueryProgram, classical_emulation_program, initial_state,
-                            random_program, truncate_after_query)
-from qqlab.qsim import (QubitLayout, StateVector, apply_local_unitary, apply_query,
-                        h_gate, l2_distance, query_mass, query_masses, x_gate)
-from qqlab.rng import generator
+                            random_program, run, truncate_after_query)
+from qqlab.qsim import (LocalUnitary, QubitLayout, StateVector, apply_local_unitary,
+                        apply_query, h_gate, l2_distance, query_mass, query_masses,
+                        random_gate, x_gate)
+from qqlab.rng import as_generator, generator
 
 
 def w(s):
@@ -442,39 +445,323 @@ def recorded_calls(monkeypatch, *names):
     return calls
 
 
+def carries(state, f, g):
+    """Whether a nonzero amplitude of the state sits on a word where f and g
+    differ: only then can a round under g leave it other than under f."""
+    return bool(qsim.occupied_words(state)[f.values != g.values].any())
+
+
+def predicted_report_queries(prog, trace):
+    """3t - 1 query calls less the reused steps.  A swapped step is reused
+    when its state carries no word where its oracle and the final one
+    differ; the fixed chain's step is the swapped step while the chain is
+    the trace's; the fresh chain is the fixed one until that carries x_t,
+    and from there on is stepped from the last trace state the fixed chain
+    still was."""
+    steps, f_final, x_t = trace.steps, trace.final_oracle, trace.steps[-1].pivot
+    queries, last_on_trace, fresh_from, primed = 0, 0, None, steps[0].state
+    for i, step in enumerate(steps[:-1]):
+        on_trace = primed is step.state
+        if on_trace:
+            last_on_trace = i
+        if fresh_from is None and qsim.occupied_words(primed)[x_t.value]:
+            fresh_from = last_on_trace
+        reused = not carries(step.state, step.oracle, f_final)
+        queries += (not reused) + (not on_trace)
+        if on_trace and reused:
+            primed = steps[i + 1].state
+        else:
+            primed = qsim.apply_round(primed, f_final, prog.blocks[i + 1])
+    return queries + (0 if fresh_from is None else trace.t - fresh_from)
+
+
 class TestEachChainStateOnce:
     """chi_0 makes no query, so a mutated-oracle run starts from the f-run's
-    chi_0, and the bound report's fixed-final-oracle chain starts with the
-    trace's swapped step from chi_0: no chain state is stepped twice.  Gates
-    and queries are counted on the dense and the support kernels alike."""
+    chi_0, and a round under g from a state that carries no word where g
+    and the known chain's oracle differ is that chain's next state: no chain
+    state is stepped twice, and none is stepped when it is already known.
+    Gates and queries are counted on the dense and the support kernels
+    alike; each test has one case where nothing can be reused (the full
+    counts) and one where something is."""
 
     @pytest.mark.parametrize("check", ["lemma2", "pigeonhole"])
     def test_prelude_gates_applied_once(self, check, monkeypatch):
         rng = generator(67, "once", 0)
-        prog = random_program(3, 2, 3, rng)  # Haar gates: every one runs a dense kernel
+        spread = random_program(3, 2, 3, rng)  # Haar gates: every one runs a dense kernel
         f = sample_uniform_oracle(3, rng)
-        calls = recorded_calls(monkeypatch, "apply_matrix_inplace", "support_gate")
-        if check == "lemma2":
-            lemma2_check(prog, f, w("010"), w("110"), w("000"))
-        else:
-            pigeonhole_mutation_check(prog, f, 4, w("000"), rng)
-        applied = [args[3] for args in calls]
-        for times, gates in ((1, prog.prelude), *((2, r) for r in prog.rounds)):
-            for u in gates:
-                assert sum(m is u.matrix for m in applied) == times
+        # round 1 spreads the address 000 over 0x0, so a lemma2 g-run parts
+        # at chi_2; the orbit of 000 under f_quiet is 000 100 101 110
+        quiet = address_program(3, 3, generator(67, "quiet", 1), quiet=2)
+        values = f.values.copy()
+        values[[0, 4, 5]] = 4, 5, 6
+        f_quiet = OracleTable(3, values)
+        for prog, f, full in ((spread, f, True), (quiet, f_quiet, False)):
+            calls = recorded_calls(monkeypatch, "apply_matrix_inplace", "support_gate")
+            if check == "lemma2":
+                lemma2_check(prog, f, w("010"), w("110"), w("000"))
+                g = mutate(f, w("010"), w("110"))
+            else:
+                word = w(pigeonhole_mutation_check(prog, f, 4, w("000"), rng).extra["mutated_word"])
+                g = mutate(f, word, BitWord(3, int(f.values[word.value]) ^ 1))  # differs on word
+            monkeypatch.undo()
+            pre_query = run(prog, f, w("000")).states[:-1]
+            parted = [carries(s, f, g) for s in pre_query]
+            if check == "lemma2":  # the g-run parts at the first state on a changed word
+                twice = [any(parted[:i + 1]) for i in range(prog.query_count)]
+            else:  # the g-run is stepped from chi_0, or is the f-run
+                twice = [any(parted)] * prog.query_count
+            assert all(twice) if full else not all(twice)
+            applied = [args[3] for args in calls]
+            for times, gates in ((1, prog.prelude),
+                                 *((1 + more, r) for more, r in zip(twice, prog.rounds))):
+                for u in gates:
+                    assert sum(m is u.matrix for m in applied) == times
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_report_makes_3t_minus_1_queries(self, t, monkeypatch):
+        # nothing reused: every state carries every word, each but 0 lightly
+        rng = generator(67, "report-full", t)
+        lay = QubitLayout(2, 5)
+        tilt = [[np.cos(0.01), -np.sin(0.01)], [np.sin(0.01), np.cos(0.01)]]
+        off_address = (0, 1, 7, 8, 9, 10, 11)
+        full = QueryProgram(lay, tuple(LocalUnitary((p,), tilt) for p in lay.address_positions),
+                            tuple((random_gate(tuple(rng.choice(off_address, 2, replace=False)),
+                                               rng),) for _ in range(t)), (0,))
+        for seed in range(20):  # the oracle of no step may stay the final one
+            trace = build_hard_oracle(full, t + 1, 1.0, generator(67, "full", seed))
+            if trace.succeeded and predicted_report_queries(full, trace) == 3 * t - 1:
+                break
+        cases = [(full, trace, 3 * t - 1)]
         for seed in range(20):
             rng = generator(67, "report-queries", seed)
             prog = random_program(5, 2, t, rng)
             trace = build_hard_oracle(prog, t + 1, 1.0, rng)
             if trace.succeeded:
                 break
-        assert trace.succeeded
+        cases.append((prog, trace, predicted_report_queries(prog, trace)))
+        assert cases[1][2] < 3 * t - 1  # something is reused
+        for prog, trace, want in cases:
+            assert trace.succeeded
+            calls = recorded_calls(monkeypatch, "apply_query", "support_query")
+            adversary_bound_report(prog, trace, t + 1, 1.0)
+            monkeypatch.undo()
+            assert len(calls) == want
+
+
+def stepped(prog, g, state):
+    """The final state of the chain from chi_0 = state, every round stepped
+    under g with apply_round."""
+    for block in prog.blocks[1:]:
+        state = qsim.apply_round(state, g, block)
+    return state
+
+
+def stepped_lemma2(prog, f, a, y, x, states=None):
+    """lemma2_check, the g-run stepped round by round; states: the f-run's."""
+    states = states or run(prog, f, x).states
+    g = mutate(f, a, y)
+    roots = sum(np.sqrt(query_mass(s, a)) for s in states[:-1])
+    return GapReport("hybrid", l2_distance(states[-1], stepped(prog, g, states[0])),
+                     0.0 if g == f else 2.0 * roots,
+                     extra={"mutated_word": str(a), "new_value": str(y)})
+
+
+def stepped_pigeonhole(prog, f, T, x, seed):
+    t, states = prog.query_count, run(prog, f, x).states
+    m = query_mass_matrix(prog, f, T, x)
+    j = int(np.argmin(m.col_sums))
+    word = m.orbit_words[j]
+    others = np.setdiff1d(np.arange(1 << f.width), [int(f.values[word.value])])
+    g = mutate(f, word, BitWord(f.width, int(as_generator(seed).choice(others))))
+    per_round = 2.0 * float(np.sqrt(m.entries[:, j]).sum())
+    cauchy = 2.0 * float(np.sqrt(t * m.col_sums[j]))
+    return GapReport("orbit_mutation", l2_distance(states[-1], stepped(prog, g, states[0])),
+                     min(per_round, cauchy), extra={
+                         "j_star": j, "column_sum": float(m.col_sums[j]), "column_limit": t / T,
+                         "per_round_rhs": per_round, "cauchy_rhs": cauchy,
+                         "sqrtT_rhs": 2.0 * t / np.sqrt(T),
+                         "max_row_sum": float(m.row_sums.max()) if t else 0.0,
+                         "distinct_orbit": m.distinct_orbit,
+                         "result_changed": iterate(g, x, T) != iterate(f, x, T),
+                         "mutated_word": str(word)})
+
+
+def stepped_report_fields(prog, trace):
+    """Every measured field of the bound report, each chain stepped round
+    by round with apply_round from the trace's chi_0."""
+    t, steps, f_final, x_t = trace.t, trace.steps, trace.final_oracle, trace.steps[-1].pivot
+    primed = [steps[0].state]
+    for block in prog.blocks[1:]:
+        primed.append(qsim.apply_round(primed[-1], f_final, block))
+    worst = [float(s.masses[s.oracle.values != f_final.values].max(initial=0.0))
+             for s in steps[:-1]]
+    roots = [float(np.sqrt(query_mass(p, x_t))) for p in primed]
+    return {"deltas": [l2_distance(steps[i + 1].state, qsim.apply_round(
+                steps[i].state, f_final, prog.blocks[i + 1])) for i in range(t)],
+            "drifts": [l2_distance(s.state, p) for s, p in zip(steps, primed)],
+            "pivot_roots_primed": roots,
+            "final_gap": l2_distance(primed[-1], stepped(
+                prog, mutate(f_final, x_t, trace.final_value), steps[0].state)),
+            "chain_rhs": 2.0 * sum(roots[:t]),
+            "premise_masses": worst,
+            "premises": [m < trace.threshold for m in worst]}
+
+
+def address_program(n, t, rng, quiet):
+    """Haar gates on 1-2 random targets, 1-2 per block, on 2 + 2n qubits.
+    The first `quiet` blocks (the prelude is block 0) leave the address
+    register alone; the next starts with a gate on a random address qubit,
+    and the rest act anywhere."""
+    lay = QubitLayout(2, n)
+    off = [p for p in range(lay.total) if p not in lay.address_positions]
+
+    def gates(positions):
+        return tuple(random_gate(tuple(int(p) for p in rng.choice(
+            positions, size=int(rng.integers(1, 3)), replace=False)), rng)
+            for _ in range(int(rng.integers(1, 3))))
+
+    blocks = [gates(off) if i < quiet else gates(range(lay.total)) if i > quiet else
+              (random_gate((int(rng.choice(lay.address_positions)),), rng),)
+              + gates(range(lay.total)) for i in range(t + 1)]
+    return QueryProgram(lay, blocks[0], tuple(blocks[1:]), tuple(range(n)))
+
+
+def counted_rounds(monkeypatch):
+    """The number of rounds analysis steps itself from now on."""
+    calls = []
+
+    def counted(*args, real=qsim.apply_round):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "apply_round", counted)
+    return calls
+
+
+class TestReuseMatchesStepping:
+    """Taking the known chain's state for a round under g from a state that
+    carries no changed word gives every field of every report the bits of
+    stepping that round, amplitude underflow included."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("kind", ["quiet", "touched", "emulation"])
+    def test_lemma2_every_oracle_and_mutation(self, n, kind, monkeypatch):
+        # the emulation's address walks the orbit, so a g-run that has
+        # parted from the f-run can be off the changed word again
+        rng = generator(93, kind, n)
+        prog = (classical_emulation_program(n, 3) if kind == "emulation"
+                else address_program(n, 2, rng, quiet=0 if kind == "touched" else 2))
+        x = BitWord.zero(n)
+        rounds, checks = counted_rounds(monkeypatch), 0
+        for f in all_oracles(n):
+            states = run(prog, f, x).states
+            for a, y in itertools.product(range(1 << n), repeat=2):
+                if kind == "touched" and n == 2 and y != int(f.values[a]) ^ 1:
+                    continue  # here one changed value per word, elsewhere every (a, y)
+                args = (prog, f, BitWord(n, a), BitWord(n, y), x)
+                got, want = lemma2_check(*args), stepped_lemma2(*args, states)
+                assert (got, got.extra) == (want, want.extra)
+                checks += 1
+        assert 0 < len(rounds) < prog.query_count * checks  # some rounds stepped, some reused
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("touch", [False, True])
+    def test_pigeonhole_every_oracle(self, n, touch, monkeypatch):
+        rng = generator(93, "pigeonhole", 2 * n + touch)
+        prog = address_program(n, 2, rng, quiet=0 if touch else 2)
+        x = BitWord.zero(n)
+        rounds = counted_rounds(monkeypatch)
+        checks = 0
+        for f in all_oracles(n):
+            for T in (2, 4) if n == 1 else (3,):
+                got, want = (check(prog, f, T, x, checks) for check in
+                             (pigeonhole_mutation_check, stepped_pigeonhole))
+                assert (got, got.extra) == (want, want.extra)
+                checks += 1
+        assert 0 < len(rounds) <= 2 * checks - (not touch)  # a quiet prelude reuses some
+
+    @pytest.mark.parametrize("family", ["truncated-emulation", "concentrated", "random",
+                                        "quiet", "touched"])
+    def test_report_fields(self, family, monkeypatch):
+        reports, rounds = [], counted_rounds(monkeypatch)
+        for n, T, seeds in [(1, 2, 4), (2, 2, 4), (2, 3, 4), (2, 4, 3), (3, 3, 3), (3, 4, 2)]:
+            for seed in range(seeds):
+                rng = generator(94, family, n * 100 + T * 10 + seed)
+                if family in ("quiet", "touched"):
+                    prog = address_program(n, T - 1, rng, 0 if family == "touched" else T - 1)
+                else:
+                    prog = build_program(family, n, T, T - 1, 2, rng)
+                trace = build_hard_oracle(prog, T, 1.0, rng)
+                if not trace.succeeded:
+                    continue
+                built = len(rounds)
+                rep = adversary_bound_report(prog, trace, T, 1.0)
+                reports.append((len(rounds) - built, 3 * trace.t - 1))
+                want = stepped_report_fields(prog, trace)
+                assert {k: getattr(rep, k) for k in want} == want
+                assert [r.lhs for r in rep.rows] == (want["deltas"] + want["drifts"][1:]
+                                                     + want["pivot_roots_primed"]
+                                                     + [want["final_gap"]])
+        stepped, full = np.sum(reports, axis=0)  # some reports reuse a step
+        assert 0 < stepped < full
+
+    @pytest.mark.parametrize("on_trace", [True, False])
+    @pytest.mark.parametrize("angle", [0.01, 1e-170])
+    def test_fresh_chain_parts_at_chi_1(self, on_trace, angle, monkeypatch):
+        # round 0 tilts the address lightly onto 01, so x_t = 01 can be carried
+        # first by the fixed chain's chi_1.  When chi_0 carries no word where
+        # f_0 and f_final differ, that chi_1 is the trace's, and the fresh
+        # chain is stepped from it; otherwise from chi_0.  At 1e-170 the mass
+        # on 01 reads 0.0, yet the fresh chain must be stepped
+        lay = QubitLayout(2, 2)  # work 0-1, address 2-3, answer 4-5
+        c, s = np.cos(angle), np.sin(angle)
+        tilt = LocalUnitary((3,), [[c, -s], [s, c]])
+        for seed in range(40):
+            rng = generator(96, "chi_1", seed)
+            prog = QueryProgram(lay, (random_gate((0,), rng),),
+                                ((tilt, random_gate((0, 1), rng)), (random_gate((1, 4), rng),)),
+                                (0,))
+            trace = build_hard_oracle(prog, 3, 1.0, rng)
+            if (trace.succeeded and on_trace != carries(trace.steps[0].state,
+                                                        trace.steps[0].oracle, trace.final_oracle)
+                    and qsim.occupied_words(trace.steps[1].state)[trace.steps[-1].pivot.value]):
+                break
+        else:
+            pytest.fail("no trace whose fixed chain carries x_t first at chi_1")
+        assert (query_masses(trace.steps[1].state)[trace.steps[-1].pivot.value] == 0.0) == (
+            angle < 1e-162)
+        want = predicted_report_queries(prog, trace)
         calls = recorded_calls(monkeypatch, "apply_query", "support_query")
-        adversary_bound_report(prog, trace, t + 1, 1.0)
-        assert len(calls) == 3 * t - 1
+        rep = adversary_bound_report(prog, trace, 3, 1.0)
+        assert len(calls) == want
+        fields = stepped_report_fields(prog, trace)
+        assert {k: getattr(rep, k) for k in fields} == fields
+
+    def test_an_underflowing_amplitude_is_stepped(self, monkeypatch):
+        # a rotation by 1e-170 leaves the address word 1 an amplitude whose
+        # square, the query mass, is 0.0: the round under g must be stepped
+        lay = QubitLayout(1, 1)  # work 0, address 1, answer 2
+        tiny = LocalUnitary((1,), [[1, -1e-170], [1e-170, 1]])
+        rng = generator(95, "underflow", 0)
+        for rotate, steps in ((True, 1), (False, 0)):
+            prog = QueryProgram(lay, (tiny,) if rotate else (), ((random_gate((0, 2), rng),),),
+                                (0,))
+            chi_0 = run(prog, OracleTable(1, [1, 0]), w("0")).states[0]
+            assert query_mass(chi_0, w("1")) == 0.0
+            for f in all_oracles(1):  # every oracle, every mutation of word 1
+                g_value = w(str(1 - int(f.values[1])))
+                rounds = counted_rounds(monkeypatch)
+                got = lemma2_check(prog, f, w("1"), g_value, w("0"))
+                assert len(rounds) == steps
+                want = stepped_lemma2(prog, f, w("1"), g_value, w("0"))
+                assert (got, got.extra) == (want, want.extra)
+                if f.values[0] == 1:  # orbit 0, 1: the empty column 1 is mutated
+                    rounds = counted_rounds(monkeypatch)
+                    got = pigeonhole_mutation_check(prog, f, 2, w("0"), 7)
+                    assert got.extra["j_star"] == 1 and len(rounds) == steps
+                    want = stepped_pigeonhole(prog, f, 2, w("0"), 7)
+                    assert (got, got.extra) == (want, want.extra)
+                monkeypatch.undo()
 
 
 class TestStreamedChains:

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qqlab
 from qqlab.cli import cli_main
-from qqlab.oracles import BitWord, make_oracle, save_oracle
+from qqlab.harness import FAMILIES, KIND_FIELDS, KINDS
+from qqlab.oracles import BitWord, make_oracle, oracle_to_text, sample_uniform_oracle, save_oracle
 
 
 def w(s):
@@ -293,3 +300,95 @@ class TestExitOnViolation:
         row = {"context": "observation", "lhs": 1.0, "rhs": 0.0, "slack": -1.0,
                "vacuous": False, "checked": False, "seed": "s"}
         assert _print_summary(ExperimentReport(config, [row], {})) == 0
+
+
+# every kind's fields: small valid values, and values no field accepts or
+# that a field refuses; T, t and trials stay small because a run's length
+# grows with them by design
+_BAD = [0, -1, -3, 10 ** 9, 2 ** 70, True, False, None, "", "2", "random", 0.5,
+        float("nan"), float("inf"), float("-inf"), [], {}]
+_BOUNDED = ("T", "t", "trials")
+_GOOD = {"family": st.sampled_from(FAMILIES), "n": st.integers(1, 3),
+         "tau_work": st.integers(0, 3), "T": st.integers(1, 6), "t": st.integers(0, 4),
+         "epsilon": st.floats(0.0, 3.0), "success_threshold": st.floats(0.0, 1.0),
+         "allow_large_census": st.just(False), "trials": st.integers(1, 3),
+         "seed": st.integers(0, 2 ** 40), "output_path": st.sampled_from(
+             ["out.csv", "missing/out.csv", ".", "", None])}
+
+
+@st.composite
+def _field_value(draw, name):
+    if draw(st.integers(0, 3)):  # three in four values are valid
+        return draw(_GOOD[name])
+    return draw(st.sampled_from([v for v in _BAD if not (
+        name in _BOUNDED and isinstance(v, int) and v > 3
+        or name == "allow_large_census" and v is True)]))
+
+
+@st.composite
+def _config_text(draw, kind):
+    fields = draw(st.lists(st.sampled_from(KIND_FIELDS[kind]), unique=True, max_size=4))
+    obj = {name: draw(_field_value(name)) for name in fields}
+    if not draw(st.integers(0, 3)):
+        obj[draw(st.sampled_from(["kind", "bogus", "tau", "oracle"]))] = draw(
+            st.sampled_from(_BAD + [kind]))
+    return json.dumps(obj).encode()
+
+
+@st.composite
+def _mutated(draw, data: bytes):
+    """data with a few bytes replaced, inserted or dropped, any byte value."""
+    data = bytearray(data)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["set", "insert", "drop"]))
+        byte = draw(st.integers(0, 255))
+        if op == "insert" or at == len(data):
+            data.insert(at, byte)
+        elif op == "set":
+            data[at] = byte
+        else:
+            del data[at]
+    return bytes(data)
+
+
+class TestExitStatusContract:
+    """Generated bad configs and damaged oracle files: every run exits 0, 1
+    or 2, exit 2 says why in one `error:` line, and no exception escapes."""
+
+    def run(self, argv, files):
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in files.items():
+                Path(tmp, name).write_bytes(data)
+            out, err = io.StringIO(), io.StringIO()
+            cwd = os.getcwd()
+            os.chdir(tmp)  # output paths are written inside the temporary directory
+            try:
+                with mock.patch.dict(os.environ, {"QQLAB_QUBIT_CAP": "12"}), \
+                        contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    rc = cli_main(argv)
+            finally:
+                os.chdir(cwd)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) == 1
+        return rc
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_config_files(self, kind, data):
+        text = data.draw(_config_text(kind))
+        if not data.draw(st.integers(0, 3)):
+            text = data.draw(_mutated(text))
+        trials = [] if b'"trials"' in text or kind == "census" else ["--trials", "2"]
+        self.run([kind, "--config", "c.json", *trials], {"c.json": text})
+
+    @given(width=st.integers(1, 2), seed=st.integers(0, 100), data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_oracle_files(self, width, seed, data):
+        text = oracle_to_text(sample_uniform_oracle(width, seed)).encode()
+        x = data.draw(st.sampled_from(["0", "1", "01", "10", "2", ""]))
+        k = data.draw(st.sampled_from(["0", "3", str(10 ** 18), "-1", "x"]))
+        self.run(["iterate", "--oracle", "f.txt", "--x", x, "--k", k],
+                 {"f.txt": data.draw(_mutated(text))})

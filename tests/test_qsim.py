@@ -631,3 +631,73 @@ class TestSupportForm:
         assert got._support is None and got.index is None
         want = qsim.apply_round(dense(start), None, block)
         assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+class TestOccupiedWords:
+    """occupied_words reads amplitudes, not masses, gives every form the
+    same answer, and is the exact condition for a round under g to equal
+    the round under f."""
+
+    @staticmethod
+    def reference(state):
+        n = state.layout.query_width
+        amps = state.amplitudes
+        return np.array([any(amps[i] != 0 for i in range(a, len(amps), 1 << n))
+                         for a in range(1 << n)])
+
+    def test_every_form_agrees(self):
+        rng = generator(75, "occupied", 0)
+        for tau, n in TestSupportForm.LAYOUTS[1:]:
+            lay = QubitLayout(tau, n)
+            basic = StateVector.basic(lay, int(rng.integers(lay.dim)))
+            for state in (basic, support_state(lay, rng, 1), support_state(lay, rng, 3),
+                          random_state(lay, rng)):
+                want = self.reference(state)
+                assert qsim.occupied_words(state).dtype == bool
+                assert np.array_equal(qsim.occupied_words(state), want)
+                assert np.array_equal(qsim.occupied_words(dense(state)), want)
+
+    def test_an_underflowing_amplitude_is_occupied_and_a_signed_zero_is_not(self):
+        lay = QubitLayout(1, 2)
+        amps = np.zeros(lay.dim, dtype=complex)
+        amps[0], amps[1], amps[2] = 1.0, 1e-170j, complex(-0.0, -0.0)
+        state = StateVector(lay, amps)
+        assert query_mass(state, BitWord(2, 1)) == 0.0
+        assert qsim.occupied_words(state).tolist() == [True, True, False, False]
+        tiny = LocalUnitary((1,), [[1, -1e-170], [1e-170, 1]])  # address bit 1 of 2
+        sup = apply_local_unitary(StateVector.basic(lay, 0), tiny)
+        assert sup._support is not None and query_mass(sup, BitWord(2, 2)) == 0.0
+        assert qsim.occupied_words(sup).tolist() == [True, False, True, False]
+
+    def test_dense_reader_holds_no_complex_temporary(self):
+        lay = QubitLayout(6, 7)  # 20 qubits: 16 MiB of amplitudes
+        state = StateVector(lay, np.ones(lay.dim, dtype=complex) / 1024.0)
+        qsim.occupied_words(state)
+        tracemalloc.start()
+        try:
+            qsim.occupied_words(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * lay.dim  # one bool per amplitude, an eighth of a state
+
+    def test_a_state_off_the_changed_words_steps_alike(self):
+        # a round under g from a state that carries no word where f and g
+        # differ gives the round under f's nonzero amplitudes bit for bit
+        rng = generator(75, "alike", 0)
+        for tau, n in TestSupportForm.LAYOUTS:
+            lay = QubitLayout(tau, n)
+            for gates in (1, 2, 3):
+                state = support_state(lay, rng, gates)
+                f = sample_uniform_oracle(n, rng)
+                free = np.nonzero(~qsim.occupied_words(state))[0]
+                if not len(free):
+                    continue
+                a = BitWord(n, int(rng.choice(free)))
+                g = mutate(f, a, BitWord(n, int(f.values[a.value]) ^ 1))
+                block = qsim.gate_block(lay, [random_gate(tuple(int(p) for p in rng.choice(
+                    lay.total, size=k, replace=False)), rng) for k in (1, 2, 4)])
+                for start in (state, dense(state)):
+                    got, want = (qsim.apply_round(start, h, block) for h in (g, f))
+                    assert np.array_equal(got.amplitudes, want.amplitudes)
+                    assert query_masses(got).tobytes() == query_masses(want).tobytes()
