@@ -8,9 +8,10 @@ Gates are applied in place on a caller-owned buffer, all addressed
 through one view: the (2,)*nbits reshape with the target axes moved to
 the front, bits[0] first, indexed by local pattern.  Permutation gates
 (X, CNOT, Toffoli, ...) rotate its pattern slices cycle by cycle; dense
-gates combine the slices for 1-2 targets and take one matrix product over
-the target axes for 3-4 targets.  No kernel keeps anything between calls,
-and none holds more than two state-sized temporaries at once.
+gates combine the slices for 1-2 targets and take a matrix product over
+the target axes for 3-4 targets, one block of at most 2**GATHER_BLOCK_BITS
+columns at a time.  No kernel keeps anything between calls, and none holds
+more than two state-sized temporaries at once.
 
 A state with one nonzero amplitude 1 stays one under permutation gates and
 the XOR query, so it can be carried as its flat index alone (the index
@@ -28,6 +29,13 @@ nonzero amplitude gets the same bits.
 from __future__ import annotations
 
 import numpy as np
+
+# A 3-4 target product runs over blocks of 2**GATHER_BLOCK_BITS columns
+# (the leading other bits fixed), so it holds two block-sized temporaries
+# rather than two state-sized ones; a state of up to 14 bits is one block.
+# Each column gets the same zgemm sum of 8 or 16 products at any block
+# width, so the bits do not depend on the blocking.
+GATHER_BLOCK_BITS = 11
 
 
 def _target_view(amps: np.ndarray, nbits: int, bits: tuple[int, ...]) -> np.ndarray:
@@ -146,7 +154,9 @@ def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
         _apply_dense_2q_inplace(view, matrix)
     else:
         # rows are local patterns, columns the other bits in flat order
-        view[...] = (matrix @ view.reshape(1 << k, -1)).reshape(view.shape)
+        for lead in np.ndindex((2,) * max(0, nbits - k - GATHER_BLOCK_BITS)):
+            block = view[(slice(None),) * k + lead]
+            block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
 
 
 def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.ndarray:

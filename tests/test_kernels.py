@@ -97,9 +97,11 @@ def signed_zero_amps(nbits, rng):
     return amps
 
 
-def place_bits(placement, k, rng):
-    """(nbits, bits) for k targets at 1-16 qubits, in a shuffled order."""
-    nbits = k if placement == "all" else int(rng.integers(k, 17))
+def place_bits(placement, k, rng, nbits=None):
+    """(nbits, bits) for k targets at 1-16 qubits (or at nbits), in a
+    shuffled order."""
+    if nbits is None:
+        nbits = k if placement == "all" else int(rng.integers(k, 17))
     if placement == "random":
         return nbits, pick_bits(nbits, k, rng)
     start = (int(rng.integers(0, nbits - k + 1)) if placement == "adjacent"
@@ -149,8 +151,10 @@ def test_dense_gate_matches_index_table_byte_for_byte(placement, k):
 @pytest.mark.parametrize("k", [3, 4])
 def test_gather_gate_matches_index_table_byte_for_byte(placement, k):
     rng = generator(41, f"gather-{placement}", k)
-    for _ in range(4):
-        nbits, bits = place_bits(placement, k, rng)
+    # the last case spans 8 blocks of 2**GATHER_BLOCK_BITS columns
+    blocked = None if placement == "all" else kernels.GATHER_BLOCK_BITS + k + 3
+    for nbits in (None, None, None, None, blocked):
+        nbits, bits = place_bits(placement, k, rng, nbits)
         u = haar_unitary(1 << k, rng)
         amps = signed_zero_amps(nbits, rng)
         ref = gather_reference(amps, nbits, bits, u)
@@ -234,7 +238,9 @@ def test_kernels_keep_nothing_and_hold_at_most_two_states():
         ("query", lambda: kernels.apply_query(amps, nbits, 4, f4), 1.1),
         # no work qubits: the 4**n-entry source table is half a state
         ("query, tau=0", lambda: kernels.apply_query(amps, nbits, 10, f10), 2),
-        ("gather", lambda: kernels.apply_matrix_inplace(amps, nbits, (19, 16, 5, 0), u4), 2),
+        # two temporaries of one 2**GATHER_BLOCK_BITS-column block each
+        ("gather", lambda: kernels.apply_matrix_inplace(amps, nbits, (19, 16, 5, 0), u4),
+         2 * 16 * 2 ** kernels.GATHER_BLOCK_BITS / (1 << nbits)),
         ("readout", lambda: kernels.value_distribution(amps, nbits, (19, 18, 17, 3)), 2),
     ]
     gc.collect()
