@@ -13,6 +13,7 @@ explicit flags > fields the --config file sets > built-in defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -65,6 +66,12 @@ _HELP = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing keeps no state)."""
+    return _parser()
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="qqlab",
         description="Quantum query computation laboratory: seeded inequality "

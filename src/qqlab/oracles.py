@@ -170,11 +170,15 @@ def iterate(f: OracleTable, x: BitWord, k: int) -> BitWord:
 
 
 def orbit(f: OracleTable, x: BitWord, length: int) -> list[BitWord]:
-    """The chain x, f(x), ..., f^(length-1)(x) as a list."""
-    out, v = [], x.value
-    for _ in range(length):
+    """The chain x, f(x), ..., f^(length-1)(x) as a list; like `iterate`, it walks
+    to the first repeated word, then repeats the cycle's `BitWord` objects."""
+    out, first, v = [], {}, x.value
+    while len(out) < length and v not in first:
+        first[v] = len(out)
         out.append(BitWord(f.width, v))
         v = int(f.values[v])
+    if len(out) < length:  # v is out[first[v]], where the cycle starts
+        out.extend(itertools.islice(itertools.cycle(out[first[v]:]), length - len(out)))
     return out
 
 

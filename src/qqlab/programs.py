@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import LayoutMismatchError, TargetOutOfRangeError, WidthMismatchError
 from .oracles import BitWord, OracleTable
-from .qsim import (LocalUnitary, QubitLayout, StateVector, apply_round, cnot_gate,
-                   gate_block, random_gate, readout_distribution)
+from .qsim import (LocalUnitary, QubitLayout, StateVector, _admit, _haar_stack,
+                   apply_round, cnot_gate, gate_block, readout_distribution)
 from .rng import as_generator
 
 
@@ -155,22 +155,27 @@ def classical_emulation_program(n: int, T: int) -> QueryProgram:
 
 def random_program(n: int, work_qubits: int, t: int, seed) -> QueryProgram:
     """Haar-random small-gate program: 1..4 gates on 1 or 2 random targets
-    in the prelude and in every round."""
+    in the prelude and in every round.  Per block (prelude, rounds 1..t): the gate
+    count, then per gate k, the targets (`rng.choice`, no replacement), the real
+    and then imaginary Ginibre part, as `random_gate` draws; one QR per size."""
     rng = as_generator(seed)
     layout = QubitLayout(work_qubits, n)
-
-    def random_gates():
-        gates = []
+    blocks, draws = [], {1: [], 2: []}  # (targets, place in draws[k]) per gate
+    for _ in range(t + 1):
+        block = []
         for _ in range(int(rng.integers(1, 5))):
             k = int(rng.integers(1, 3))
             targets = tuple(int(x) for x in rng.choice(layout.total, size=k, replace=False))
-            gates.append(random_gate(targets, rng))
-        return tuple(gates)
-
-    prelude = random_gates()
-    rounds = tuple(random_gates() for _ in range(t))
+            block.append((targets, len(draws[k])))
+            draws[k].append(rng.standard_normal((2, 1 << k, 1 << k)))  # real, imaginary
+        blocks.append(block)
+    unitaries = {k: _haar_stack(*np.stack(parts, axis=1)) for k, parts in draws.items() if parts}
+    for u in unitaries.values():
+        _admit(u)
+    gates = [tuple(LocalUnitary._admitted(targets, unitaries[len(targets)][j])
+                   for targets, j in block) for block in blocks]
     out_width = min(n, layout.total)
-    return QueryProgram(layout, prelude, rounds, tuple(range(out_width)))
+    return QueryProgram(layout, gates[0], tuple(gates[1:]), tuple(range(out_width)))
 
 
 def truncate_after_query(prog: QueryProgram, k: int) -> QueryProgram:

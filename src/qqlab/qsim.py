@@ -214,6 +214,28 @@ def _scattered(size: int, support) -> np.ndarray:
     return a
 
 
+def _gate_targets(targets) -> tuple[int, ...]:
+    targets = tuple(int(t) for t in targets)
+    if len(set(targets)) != len(targets):
+        raise DuplicateTargetError(f"duplicate gate targets {targets}")
+    if not targets:
+        raise TargetOutOfRangeError("gate needs at least one target")
+    if len(targets) > MAX_GATE_TARGETS:
+        raise TargetOutOfRangeError(
+            f"{len(targets)} targets exceeds gate cap {MAX_GATE_TARGETS}")
+    return targets
+
+
+def _admit(m: np.ndarray) -> None:
+    """Make m (d x d, or a stack of such) read-only if finite and unitary, else raise."""
+    if not np.isfinite(m).all():
+        raise NonUnitaryError("matrix has non-finite entries")
+    err = np.abs(m @ np.swapaxes(m, -1, -2).conj() - np.eye(m.shape[-1])).max()
+    if err > UNITARITY_TOL:
+        raise NonUnitaryError(f"matrix fails unitarity by {err:.3e}")
+    m.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class LocalUnitary:
     """A small unitary acting on an ordered list of qubit positions."""
@@ -222,26 +244,23 @@ class LocalUnitary:
     matrix: np.ndarray = field(compare=False)
 
     def __init__(self, targets, matrix):
-        targets = tuple(int(t) for t in targets)
-        if len(set(targets)) != len(targets):
-            raise DuplicateTargetError(f"duplicate gate targets {targets}")
-        if not targets:
-            raise TargetOutOfRangeError("gate needs at least one target")
-        if len(targets) > MAX_GATE_TARGETS:
-            raise TargetOutOfRangeError(
-                f"{len(targets)} targets exceeds gate cap {MAX_GATE_TARGETS}")
+        targets = _gate_targets(targets)
         m = np.asarray(matrix, dtype=np.complex128)
         d = 1 << len(targets)
         if m.shape != (d, d):
             raise NonUnitaryError(f"matrix shape {m.shape} does not match {len(targets)} targets")
-        if not np.isfinite(m).all():
-            raise NonUnitaryError("matrix has non-finite entries")
-        err = np.abs(m @ m.conj().T - np.eye(d)).max()
-        if err > UNITARITY_TOL:
-            raise NonUnitaryError(f"matrix fails unitarity by {err:.3e}")
-        m.flags.writeable = False
+        _admit(m)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _admitted(cls, targets, matrix: np.ndarray) -> LocalUnitary:
+        """A gate on a complex128 matrix of the targets' size, a view of a
+        stack `_admit` passed: only the targets are checked."""
+        gate = object.__new__(cls)
+        object.__setattr__(gate, "targets", _gate_targets(targets))
+        object.__setattr__(gate, "matrix", matrix)
+        return gate
 
     @cached_property
     def permutation(self) -> np.ndarray | None:
@@ -499,12 +518,16 @@ def cnot_gate(control: int, target: int) -> LocalUnitary:
     return LocalUnitary((control, target), _CNOT)
 
 
+def _haar_stack(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """Haar unitaries from the real and imaginary parts of a (count, d, d) Ginibre stack."""
+    q, r = np.linalg.qr((real + 1j * imag) / np.sqrt(2))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    return _haar_stack(*rng.standard_normal((2, 1, dim, dim)))[0]
 
 
 def random_gate(targets, rng: np.random.Generator) -> LocalUnitary:

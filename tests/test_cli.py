@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qqlab
+from qqlab import cli
 from qqlab.cli import cli_main
-from qqlab.harness import FAMILIES, KIND_FIELDS, KINDS
+from qqlab.harness import FAMILIES, KIND_FIELDS, KINDS, ExperimentConfig
 from qqlab.oracles import BitWord, make_oracle, oracle_to_text, sample_uniform_oracle, save_oracle
 
 
@@ -253,6 +254,30 @@ class TestSweepCommands:
         rc = cli_main(["montecarlo", "--family", "truncated-emulation", "--n", "2",
                        "--T", "3", "--trials", "30", "--seed", "2"])
         assert rc == 0
+
+
+class TestOneParserPerProcess:
+    """cli_main builds its parser once; each call still sees only its own
+    flags and the defaults of its kind."""
+
+    def test_successive_calls_keep_no_flags(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        configs = []
+        report = mock.Mock(aggregates={}, violation_rows=lambda: [])
+        with mock.patch("qqlab.cli.monte_carlo",
+                        side_effect=lambda cfg: configs.append(cfg) or report):
+            assert cli_main(["montecarlo", "--n", "3", "--bogus"]) == 2
+            assert cli_main(["montecarlo", "--family", "concentrated", "--n", "3",
+                             "--tau-work", "0", "--T", "5", "--t", "2", "--trials", "7",
+                             "--seed", "9", "--threshold", "0.5"]) == 0
+            assert cli_main(["lemma1", "--n", "3", "--tau-work", "1", "--trials", "4"]) == 0
+            assert cli_main(["montecarlo", "--T", "3"]) == 0
+        assert configs == [
+            ExperimentConfig("montecarlo", family="concentrated", n=3, tau_work=0, T=5, t=2,
+                             trials=7, seed=9, success_threshold=0.5).validate(),
+            ExperimentConfig("lemma1", n=3, tau_work=1, trials=4).validate(),
+            ExperimentConfig("montecarlo", T=3, trials=100).validate(),
+        ]
 
 
 class TestCensusCommand:

@@ -134,6 +134,23 @@ class TestIterate:
                     assert iterate(f, BitWord(2, x), k).value == v
                     v = int(f.values[v])
 
+    def test_orbit_equals_the_plain_walk(self):
+        def walk(f, x, length):
+            out, v = [], x
+            for _ in range(length):
+                out.append(v)
+                v = int(f.values[v])
+            return out
+
+        rng = generator(13, "orbit", 0)
+        cases = [(f, x) for f in all_oracles(2) for x in range(4)]
+        cases += [(sample_uniform_oracle(4, rng), int(rng.integers(16))) for _ in range(200)]
+        for f, x in cases:
+            for length in range(11 if f.width == 2 else 41):
+                words = orbit(f, BitWord(f.width, x), length)
+                assert [(v.width, v.value) for v in words] == [(f.width, v)
+                                                               for v in walk(f, x, length)]
+
     def test_huge_counts_reduce_modulo_the_cycle(self):
         k = 10 ** 18
         for seed in range(20):

@@ -16,7 +16,7 @@ from qqlab.programs import (QueryProgram, classical_emulation_program, initial_s
                             success_probability, truncate_after_query)
 from qqlab.qsim import (BasisAssignment, QubitLayout, StateVector, apply_round, basis_state,
                         cnot_gate, l2_distance, query_mass, query_masses, random_gate)
-from qqlab.rng import generator
+from qqlab.rng import as_generator, generator
 
 
 def w(s):
@@ -176,6 +176,40 @@ class TestRandomProgram:
         assert 1 <= len(prog.prelude) <= 4
         for rnd in prog.rounds:
             assert 1 <= len(rnd) <= 4
+
+    @staticmethod
+    def assert_per_gate_build(prog, n, tau, t, rng):
+        """prog equals the program built gate by gate with `random_gate`
+        from rng, in the draw order `random_program` documents."""
+        layout = QubitLayout(tau, n)
+
+        def block():
+            gates = []
+            for _ in range(int(rng.integers(1, 5))):
+                k = int(rng.integers(1, 3))
+                targets = tuple(int(x) for x in rng.choice(layout.total, size=k, replace=False))
+                gates.append(random_gate(targets, rng))
+            return tuple(gates)
+
+        prelude = block()
+        rounds = tuple(block() for _ in range(t))
+        assert prog.query_count == t
+        assert len(prog.prelude) == len(prelude)
+        assert [len(r) for r in prog.rounds] == [len(r) for r in rounds]
+        for got, want in zip(prog.all_gates(), (*prelude, *sum(rounds, ()))):
+            assert got.targets == want.targets
+            assert got.matrix.tobytes() == want.matrix.tobytes()
+            assert not got.matrix.flags.writeable
+
+    @pytest.mark.parametrize("n, tau, ts", [(2, 8, range(7)), (6, 2, [2]), (5, 2, [1])])
+    def test_equals_the_per_gate_build(self, n, tau, ts):
+        for t in ts:
+            for seed in range(6):
+                prog = random_program(n, tau, t, seed)
+                self.assert_per_gate_build(prog, n, tau, t, as_generator(seed))
+                a, b = generator(seed, "program", t), generator(seed, "program", t)
+                self.assert_per_gate_build(random_program(n, tau, t, a), n, tau, t, b)
+                assert a.random() == b.random()  # the same draws, no more
 
 
 class TestSuccessProbability:

@@ -109,6 +109,27 @@ class TestLocalUnitary:
         with pytest.raises(DuplicateTargetError):
             LocalUnitary((1, 1), np.eye(4, dtype=complex))
 
+    def test_stacked_check_refuses_what_the_constructor_refuses(self):
+        nan = np.array([[np.nan, 0], [0, 1]], dtype=complex)
+        skew = np.array([[1, 0], [0, 2]], dtype=complex)
+        ok = np.eye(2, dtype=complex)
+        for stack, message in (([nan, skew], "non-finite"), ([ok, skew], "fails unitarity"),
+                               ([skew, ok, nan], "non-finite")):
+            with pytest.raises(NonUnitaryError, match=message):
+                qsim._admit(np.stack(stack))
+        qsim._admit(np.stack([ok, ok]))
+        for m in (nan, skew):
+            with pytest.raises(NonUnitaryError):
+                LocalUnitary((0,), m)
+
+    def test_admitted_gates_keep_the_target_checks(self):
+        with pytest.raises(DuplicateTargetError):
+            LocalUnitary._admitted((1, 1), np.eye(4, dtype=complex))
+        with pytest.raises(TargetOutOfRangeError):
+            LocalUnitary._admitted((), np.eye(1, dtype=complex))
+        with pytest.raises(TargetOutOfRangeError):
+            LocalUnitary._admitted(tuple(range(5)), np.eye(32, dtype=complex))
+
     def test_target_cap(self):
         with pytest.raises(TargetOutOfRangeError):
             LocalUnitary(tuple(range(5)), np.eye(32, dtype=complex))
@@ -383,6 +404,14 @@ class TestHaar:
         for dim in (2, 4, 8):
             u = haar_unitary(dim, rng)
             assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-9
+
+    def test_one_matrix_equals_its_stack_of_one(self):
+        a, b = generator(1, "haar", 1), generator(1, "haar", 1)
+        for dim in (2, 4, 16):
+            z = (b.standard_normal((dim, dim)) + 1j * b.standard_normal((dim, dim))) / np.sqrt(2)
+            q, r = np.linalg.qr(z)
+            d = np.diagonal(r)
+            assert haar_unitary(dim, a).tobytes() == (q * (d / np.abs(d))).tobytes()
 
 
 def dense_twin(state):
