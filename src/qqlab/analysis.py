@@ -162,6 +162,16 @@ class AdversaryTrace:
         return self.steps[-1].oracle
 
 
+def _alpha_threshold(T: int, epsilon: float) -> tuple[float, float]:
+    """alpha = 5 + epsilon/2 and the mass threshold T**-alpha, which must fit a float."""
+    try:
+        alpha = 5.0 + epsilon / 2.0
+        return alpha, float(T) ** (-alpha)
+    except OverflowError:
+        raise ValueError(f"the mass threshold T**-(5 + epsilon/2) overflows a float at "
+                         f"T = {T}, epsilon = {epsilon}") from None
+
+
 def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> AdversaryTrace:
     """Run the inductive low-mass-pivot construction against the program.
 
@@ -187,8 +197,7 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
     layout = prog.layout
     n = layout.query_width
     size = 1 << n
-    alpha = 5.0 + epsilon / 2.0
-    threshold = float(T) ** (-alpha)
+    alpha, threshold = _alpha_threshold(T, epsilon)
     rng = as_generator(seed)
 
     f = sample_uniform_oracle(n, rng)

@@ -6,8 +6,9 @@ function giving trial i's inequality rows and a small outcome, plus a
 function turning the outcomes into its aggregates.  Trials are sequential
 and each derives its generators from (master seed, stream, trial index),
 so a report is byte-reproducible from its config alone; wall time goes
-only into the JSON.  Reports write a flat CSV (schema frozen below) and a
-nested JSON.
+only into the JSON.  Both report types write a flat CSV (schema frozen
+below) and a nested JSON beside it through one `write`, which refuses a
+CSV path ending in .json; `validate` refuses one before any trial runs.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (TOL, GapReport, adversary_bound_report, build_hard_oracle,
-                       lemma1_check, lemma2_check, pigeonhole_mutation_check)
-from .errors import CapExceededError, ConfigError
+from .analysis import (TOL, GapReport, _alpha_threshold, adversary_bound_report,
+                       build_hard_oracle, lemma1_check, lemma2_check, pigeonhole_mutation_check)
+from .errors import CapExceededError, ConfigError, InputError
 from .oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
 from .programs import (QueryProgram, classical_emulation_program, random_program,
                        success_probability, truncate_after_query)
@@ -121,8 +122,15 @@ class ExperimentConfig:
                 raise ConfigError(f"adversary runs need t = T - 1 queries, {self.family} would "
                                   f"make {rounds} (truncated-emulation is classical-emulation "
                                   "cut to T - 1)")
+            if self.kind == "adversary":
+                try:
+                    _alpha_threshold(self.T, self.epsilon)
+                except ValueError as e:
+                    raise ConfigError(str(e)) from None
         if self.kind == "census" and self.n > 2 and not self.allow_large_census:
             raise ConfigError("census beyond n=2 must be explicitly enabled")
+        if self.output_path:
+            _csv_path(self.output_path)
         return self
 
     @classmethod
@@ -189,8 +197,23 @@ def build_program(family: str, n: int, T: int, t: int | None,
     raise ConfigError(f"unknown program family {family!r}")
 
 
+def _csv_path(path) -> Path:
+    """The report's CSV path; one ending in .json is refused, as its own JSON sibling."""
+    if Path(path).suffix == ".json":
+        raise InputError(f"output path {path!r} ends in .json, where its JSON report goes")
+    return Path(path)
+
+
+class _ReportFiles:
+    def write(self, csv_path) -> None:
+        """The CSV at csv_path, and the JSON beside it with the suffix .json."""
+        csv_path = _csv_path(csv_path)
+        csv_path.write_text(self.to_csv())
+        csv_path.with_suffix(".json").write_text(self.to_json())
+
+
 @dataclass
-class ExperimentReport:
+class ExperimentReport(_ReportFiles):
     config: ExperimentConfig
     rows: list[dict]
     aggregates: dict
@@ -217,11 +240,6 @@ class ExperimentReport:
             "wall_time_s": self.wall_time,
             "rows": self.rows,
         }, indent=1, default=_json_default)
-
-    def write(self, csv_path) -> None:
-        csv_path = Path(csv_path)
-        csv_path.write_text(self.to_csv())
-        csv_path.with_suffix(".json").write_text(self.to_json())
 
 
 def _json_default(obj):
@@ -394,7 +412,7 @@ def run_montecarlo_trials(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 @dataclass
-class CensusReport:
+class CensusReport(_ReportFiles):
     """Exact success probabilities over every oracle of one width."""
 
     n: int
@@ -425,11 +443,6 @@ class CensusReport:
         for i, p in enumerate(self.probabilities):
             lines.append(f"{i},{p!r},{p >= self.threshold}")
         return "\n".join(lines) + "\n"
-
-    def write(self, csv_path) -> None:
-        csv_path = Path(csv_path)
-        csv_path.write_text(self.to_csv())
-        csv_path.with_suffix(".json").write_text(self.to_json())
 
 
 def exact_census(family, n: int, T: int, t: int | None = None,

@@ -23,7 +23,8 @@ support, its ascending flat indices and their amplitudes:
 `support_query` and `support_gate` step a support as `apply_query` and
 `apply_matrix_inplace` (permutations and 1-2 target gates) step the full
 array, a dense gate through the dense kernel's own statements, so every
-nonzero amplitude gets the same bits.
+nonzero amplitude gets the same bits.  On flat indices, the target bits
+are read MSB first by `read_bits` and written by `_write_bits` alone.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ import numpy as np
 # A 3-4 target product runs over blocks of 2**GATHER_BLOCK_BITS columns
 # (the leading other bits fixed), so it holds two block-sized temporaries
 # rather than two state-sized ones; a state of up to 14 bits is one block.
-# Each column gets the same zgemm sum of 8 or 16 products at any block
-# width, so the bits do not depend on the blocking.
+# A column's zgemm bits can depend on the block width: on OpenBLAS 0.3.31,
+# 8x8 and 16x16 products match one product over all columns only for a
+# width that is a multiple of 4.  Each block is 2**11 columns or the whole
+# state, so the blocking keeps the bits.
 GATHER_BLOCK_BITS = 11
 
 
@@ -76,16 +79,16 @@ def _cycles(perm: np.ndarray) -> list[list[int]]:
 
 def read_bits(index, bits: tuple[int, ...]):
     """The integer read MSB-first off the given bits of a flat index (an
-    int, or elementwise an int64 array)."""
-    value = 0
+    int, or elementwise an int64 array; zeros of its shape for no bits)."""
+    value = 0 if bits else index & 0
     for b in bits:
         value = (value << 1) | ((index >> b) & 1)
     return value
 
 
-def _write_bits(index: np.ndarray, bits: tuple[int, ...], value) -> np.ndarray:
-    """Each index with `value` written MSB-first onto the given bits, as
-    permute_index does for one; broadcast over the arrays."""
+def _write_bits(index, bits: tuple[int, ...], value):
+    """Each index with `value` written MSB-first onto the given bits (an
+    int, or broadcast over int64 arrays)."""
     for b in reversed(bits):
         index = (index & ~(1 << b)) | ((value & 1) << b)
         value = value >> 1
@@ -94,11 +97,7 @@ def _write_bits(index: np.ndarray, bits: tuple[int, ...], value) -> np.ndarray:
 
 def permute_index(index: int, bits: tuple[int, ...], perm: np.ndarray) -> int:
     """Where apply_permutation_inplace moves the amplitude at index."""
-    new = int(perm[read_bits(index, bits)])
-    for b in reversed(bits):
-        index = (index & ~(1 << b)) | ((new & 1) << b)
-        new >>= 1
-    return index
+    return _write_bits(index, bits, int(perm[read_bits(index, bits)]))
 
 
 def apply_permutation_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],

@@ -4,7 +4,7 @@ A word of width n is stored as its integer encoding; the first bit of the
 word is the most significant bit of the integer, so the word "110" encodes
 as 6.  An oracle is a total table mapping every one of the 2**n words to a
 word of the same width.  Oracles are immutable; mutation returns a fresh
-table.
+table.  `iterate` and `orbit` read one walk, cut at the first repeated word.
 """
 
 from __future__ import annotations
@@ -147,38 +147,40 @@ def sample_uniform_oracle(n: int, seed) -> OracleTable:
     return OracleTable(n, rng.integers(0, 1 << n, size=1 << n, dtype=np.int64))
 
 
+def _walk(f: OracleTable, x: BitWord, length: int) -> tuple[list[int], int | None]:
+    """The values x, f(x), ..., at most `length` of them and none twice, and,
+    when a repeat ended the walk, the step of its first visit: a cycle from there."""
+    if x.width != f.width:
+        raise WidthMismatchError(f"word width {x.width} != oracle width {f.width}")
+    walk, first, v = [], {}, x.value  # first: the step of each word walked
+    while len(walk) < length and v not in first:
+        first[v] = len(walk)
+        walk.append(v)
+        v = int(f.values[v])
+    return walk, first.get(v)
+
+
 def iterate(f: OracleTable, x: BitWord, k: int) -> BitWord:
     """k-fold application f(f(...f(x))); k = 0 returns x unchanged.
 
     The walk enters a cycle within 2**n steps, so it stops at the first
     word it has seen before and reads f^k(x) off the cycle: O(min(k, 2**n))
     steps for any k."""
-    if x.width != f.width:
-        raise WidthMismatchError(f"word width {x.width} != oracle width {f.width}")
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
-    walk, first = [], {}  # the words in visiting order, and the step of each
-    v = x.value
-    while len(walk) < k and v not in first:
-        first[v] = len(walk)
-        walk.append(v)
-        v = int(f.values[v])
-    if len(walk) < k:  # v was visited at step first[v]; the cycle has len(walk) - first[v] words
-        start = first[v]
-        v = walk[start + (k - start) % (len(walk) - start)]
-    return BitWord(f.width, v)
+    walk, start = _walk(f, x, k + 1)
+    if k >= len(walk):  # the cycle has len(walk) - start words
+        k = start + (k - start) % (len(walk) - start)
+    return BitWord(f.width, walk[k])
 
 
 def orbit(f: OracleTable, x: BitWord, length: int) -> list[BitWord]:
     """The chain x, f(x), ..., f^(length-1)(x) as a list; like `iterate`, it walks
     to the first repeated word, then repeats the cycle's `BitWord` objects."""
-    out, first, v = [], {}, x.value
-    while len(out) < length and v not in first:
-        first[v] = len(out)
-        out.append(BitWord(f.width, v))
-        v = int(f.values[v])
-    if len(out) < length:  # v is out[first[v]], where the cycle starts
-        out.extend(itertools.islice(itertools.cycle(out[first[v]:]), length - len(out)))
+    walk, start = _walk(f, x, length)
+    out = [BitWord(f.width, v) for v in walk]
+    if len(out) < length:
+        out.extend(itertools.islice(itertools.cycle(out[start:]), length - len(out)))
     return out
 
 

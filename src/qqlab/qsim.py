@@ -462,9 +462,8 @@ def readout_distribution(state: StateVector, positions) -> np.ndarray:
         out[kernels.read_bits(int(idx[0]), bits)] = v.real * v.real + v.imag * v.imag
         return out
     # bincount over the ascending indices adds as the dense path does
-    values = (idx[:, None] >> np.array(bits, dtype=np.int64) & 1) @ np.array(
-        [1 << (k - 1 - j) for j in range(k)], dtype=np.int64)
-    return np.bincount(values, weights=vals.real ** 2 + vals.imag ** 2, minlength=1 << k)
+    return np.bincount(kernels.read_bits(idx, bits), weights=vals.real ** 2 + vals.imag ** 2,
+                       minlength=1 << k)
 
 
 def observe(state: StateVector, seed) -> BasisAssignment:

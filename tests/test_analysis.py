@@ -110,6 +110,10 @@ class TestBuildHardOracle:
         with pytest.raises(ValueError):
             build_hard_oracle(prog, 2, 1.0, 0)  # needs t = T-1 = 1
 
+    def test_threshold_overflow_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            build_hard_oracle(random_program(2, 2, 1, 0), 2, -3000.0, 0)
+
     def test_zero_round_trace(self):
         # T = 1: threshold is 1, so only a full-mass word can be struck
         prog = concentrated_program(3, 0)

@@ -123,6 +123,17 @@ class TestInputErrors:
         self.assert_input_error(["adversary", "--family", "random", "--n", "3", "--T", "3",
                                  "--epsilon", "nan"], capsys)
 
+    def test_epsilon_whose_threshold_overflows(self, capsys):
+        self.assert_input_error(["adversary", "--n", "2", "--T", "2", "--trials", "1",
+                                 "--epsilon", "-3000"], capsys)
+
+    @pytest.mark.parametrize("argv", [["lemma1", "--n", "2", "--trials", "2"],
+                                      ["census", "--n", "2", "--T", "3"]])
+    def test_output_path_that_is_its_own_json_sibling(self, argv, tmp_path, capsys):
+        # the CSV would be overwritten by the JSON written after it
+        self.assert_input_error([*argv, "--out", str(tmp_path / "r.json")], capsys)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("kind", ["montecarlo", "pigeonhole", "census"])
     def test_truncated_rounds_beyond_T(self, kind, capsys):
         self.assert_input_error([kind, "--family", "truncated-emulation", "--n", "2",
@@ -330,7 +341,7 @@ class TestExitOnViolation:
 # every kind's fields: small valid values, and values no field accepts or
 # that a field refuses; T, t and trials stay small because a run's length
 # grows with them by design
-_BAD = [0, -1, -3, 10 ** 9, 2 ** 70, True, False, None, "", "2", "random", 0.5,
+_BAD = [0, -1, -3, 10 ** 9, -10 ** 9, 2 ** 70, True, False, None, "", "2", "random", 0.5,
         float("nan"), float("inf"), float("-inf"), [], {}]
 _BOUNDED = ("T", "t", "trials")
 _GOOD = {"family": st.sampled_from(FAMILIES), "n": st.integers(1, 3),
@@ -408,6 +419,14 @@ class TestExitStatusContract:
             text = data.draw(_mutated(text))
         trials = [] if b'"trials"' in text or kind == "census" else ["--trials", "2"]
         self.run([kind, "--config", "c.json", *trials], {"c.json": text})
+
+    @given(epsilon=st.floats(allow_nan=False, allow_infinity=False), T=st.integers(1, 6))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_adversary_epsilon(self, epsilon, T):
+        # the config check takes any finite epsilon: the mass threshold
+        # T**-(5 + epsilon/2) must then fit a float, or the run is refused
+        self.run(["adversary", "--n", "1", "--tau-work", "0", "--T", str(T), "--trials", "1",
+                  f"--epsilon={epsilon!r}"], {})
 
     @given(width=st.integers(1, 2), seed=st.integers(0, 100), data=st.data())
     @settings(max_examples=40, deadline=None, derandomize=True)

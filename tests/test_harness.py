@@ -3,7 +3,7 @@ import json
 import pytest
 
 from qqlab import kernels
-from qqlab.errors import CapExceededError, ConfigError
+from qqlab.errors import CapExceededError, ConfigError, InputError
 from qqlab.harness import (CSV_SCHEMA, ExperimentConfig, ExperimentReport,
                            adversary_success_rate, build_program, exact_census,
                            monte_carlo, wilson_interval)
@@ -43,6 +43,13 @@ class TestConfig:
     def test_rejects_non_finite_epsilon(self, epsilon):
         with pytest.raises(ConfigError, match="epsilon"):
             cfg(kind="adversary", family="random", n=3, T=3, epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [-3000.0, -10 ** 9, 10 ** 400],
+                             ids=["-3000.0", "-10**9", "10**400"])
+    def test_rejects_epsilon_whose_threshold_overflows(self, epsilon):
+        with pytest.raises(ConfigError, match="overflows"):
+            cfg(kind="adversary", family="random", n=3, T=3, epsilon=epsilon)
+        cfg(kind="adversary", family="random", n=3, T=1, t=0, epsilon=-3000.0)
 
     @pytest.mark.parametrize("kind", ["pigeonhole", "montecarlo", "census"])
     def test_truncated_family_keeps_at_most_T_rounds(self, kind):
@@ -235,6 +242,9 @@ class TestCensus:
         lines = out.read_text().splitlines()
         assert lines[1] == "oracle_index,success_probability,success"
         assert len(lines) == 2 + 4
+        with pytest.raises(InputError, match="json"):  # its own JSON sibling
+            rep.write(tmp_path / "other.json")
+        assert not (tmp_path / "other.json").exists()
 
 
 class TestMonteCarloRates:

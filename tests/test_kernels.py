@@ -176,6 +176,11 @@ def test_permute_index_follows_the_permutation_kernel(placement):
         assert np.flatnonzero(amps).tolist() == [kernels.permute_index(index, bits, perm)]
 
 
+def test_read_bits_of_no_bits_is_zero_of_the_index_shape():
+    values = kernels.read_bits(np.arange(6, dtype=np.int64).reshape(2, 3), ())
+    assert values.dtype == np.int64 and np.array_equal(values, np.zeros((2, 3)))
+
+
 @pytest.mark.parametrize("trial", range(40))
 def test_gather_gate_matches_index_table(trial):
     rng = generator(41, "gather", trial)

@@ -123,8 +123,9 @@ class TestIterate:
 
     def test_width_mismatch(self):
         f = sample_uniform_oracle(2, 0)
-        with pytest.raises(WidthMismatchError):
-            iterate(f, w("0"), 1)
+        for walk in (iterate, orbit):
+            with pytest.raises(WidthMismatchError):
+                walk(f, w("0"), 1)
 
     def test_matches_the_plain_walk(self):
         for f in all_oracles(2):
