@@ -109,6 +109,12 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.tau_work < 0 or self.seed < 0 or (self.t is not None and self.t < 0):
             raise ConfigError("tau_work, seed and t must be >= 0")
+        # lemma2 trials draw their t as an int64; a pigeonhole run holds an
+        # orbit and a mass matrix of T columns
+        if self.t is not None and self.t >= 1 << 63:
+            raise ConfigError(f"t must be below 2**63, got {self.t}")
+        if self.kind == "pigeonhole" and self.T >= 1 << 63:
+            raise ConfigError(f"pigeonhole runs need T below 2**63, got {self.T}")
         if not -math.inf < self.epsilon < math.inf:
             raise ConfigError(f"epsilon must be finite, got {self.epsilon!r}")
         if self.family not in FAMILIES:
@@ -163,7 +169,7 @@ def read_config(path, kind: str | None = None) -> dict:
     return obj
 
 
-def _family_rounds(family: str, T: int, t: int | None, default: int) -> int:
+def _family_rounds(family: str, T: int, t: int | None, default: int | None) -> int:
     """The round count of a family's programs for T: classical-emulation
     makes T and takes no other t; any other family keeps t rounds, or
     `default` when t is None, and truncated-emulation at most T."""
@@ -359,7 +365,8 @@ def run_adversary_trials(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def run_pigeonhole_trials(cfg: ExperimentConfig) -> ExperimentReport:
-    t = _family_rounds(cfg.family, cfg.T, cfg.t, max(1, int(np.sqrt(cfg.T) / 2)))
+    t = _family_rounds(cfg.family, cfg.T, cfg.t,
+                       max(1, int(np.sqrt(cfg.T) / 2)) if cfg.t is None else None)
 
     def trial(i):
         rng = generator(cfg.seed, "pigeonhole", i)

@@ -21,10 +21,11 @@ the amplitude, with the same bit conventions and no array of length
 2**nbits.  A state with few nonzero amplitudes can be carried as its
 support, its ascending flat indices and their amplitudes:
 `support_query` and `support_gate` step a support as `apply_query` and
-`apply_matrix_inplace` (permutations and 1-2 target gates) step the full
-array, a dense gate through the dense kernel's own statements, so every
-nonzero amplitude gets the same bits.  On flat indices, the target bits
-are read MSB first by `read_bits` and written by `_write_bits` alone.
+`apply_matrix_inplace` (permutations and dense gates of 1-4 targets) step
+the full array, a dense gate through the dense kernel's own statements or
+product, so every nonzero amplitude gets the same bits.  On flat indices,
+the target bits are read MSB first by `read_bits` and written by
+`_write_bits` alone.
 """
 
 from __future__ import annotations
@@ -37,7 +38,9 @@ import numpy as np
 # A column's zgemm bits can depend on the block width: on OpenBLAS 0.3.31,
 # 8x8 and 16x16 products match one product over all columns only for a
 # width that is a multiple of 4.  Each block is 2**11 columns or the whole
-# state, so the blocking keeps the bits.
+# state, so the blocking keeps the bits; `support_gate` pads its block of
+# gathered columns to whole 4-column tiles for the same reason, or takes
+# the whole state's width where that is below 4 columns.
 GATHER_BLOCK_BITS = 11
 
 
@@ -192,34 +195,40 @@ def support_query(idx: np.ndarray, vals: np.ndarray, n: int,
 
 
 def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
-                 matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 matrix: np.ndarray, nbits: int) -> tuple[np.ndarray, np.ndarray]:
     """apply_matrix_inplace on a support (ascending int64 flat indices,
-    their nonzero amplitudes) for a 0/1 permutation on any bits or a dense
-    gate on 1-2 bits; returns fresh arrays in the same form.
+    their nonzero amplitudes) of a state of nbits bits, for a 0/1
+    permutation or a dense gate on 1-4 of the bits; returns fresh arrays in
+    the same form.
 
     A permutation relabels the indices.  A dense gate groups the indices
     by their bits off the targets and scatters each group into one column
     of a (2**k, groups) block, absent entries 0; the dense kernel's own
-    statements then combine the block rows, so each amplitude is computed
-    from the same operands in the same order as on the full array.  An
-    amplitude that comes out exactly 0 is dropped: where the full array
-    holds it, it may be -0.0.
+    statements then combine the block rows (1-2 targets) or take the
+    block's product (3-4 targets), so each amplitude is computed from the
+    same operands in the same order as on the full array.  An amplitude
+    that comes out exactly 0 is dropped: where the full array holds it, it
+    may be -0.0.
     """
     pattern = read_bits(idx, bits)
     perm = as_permutation(matrix)
     if perm is not None:
         return _sorted(_write_bits(idx, bits, perm[pattern]), vals)
     k = len(bits)
-    if k > 2:
-        raise ValueError(f"support_gate runs dense gates on 1-2 bits, not {k}")
     groups, column = np.unique(_write_bits(idx, bits, 0), return_inverse=True)
     m = len(groups)
-    # at least two columns: numpy multiplies a one-element array in place
-    # on a scalar path that rounds differently from its array loops
-    block = np.zeros((1 << k, max(m, 2)), dtype=np.complex128)
-    block[pattern, column] = vals
-    dense = _apply_dense_1q_inplace if k == 1 else _apply_dense_2q_inplace
-    dense(block.reshape((2,) * k + (-1,)), matrix)
+    if k <= 2:
+        # at least two columns: numpy multiplies a one-element array in place
+        # on a scalar path that rounds differently from its array loops
+        block = np.zeros((1 << k, max(m, 2)), dtype=np.complex128)
+        block[pattern, column] = vals
+        dense = _apply_dense_1q_inplace if k == 1 else _apply_dense_2q_inplace
+        dense(block.reshape((2,) * k + (-1,)), matrix)
+    else:
+        # whole 4-column tiles, or the dense product's width (GATHER_BLOCK_BITS)
+        block = np.zeros((1 << k, min(-(-m // 4) * 4, 1 << (nbits - k))), dtype=np.complex128)
+        block[pattern, column] = vals
+        block = matrix @ block
     new = _write_bits(groups, bits, np.arange(1 << k, dtype=np.int64)[:, None]).ravel()
     out = block[:, :m].ravel()
     keep = out != 0

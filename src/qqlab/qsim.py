@@ -20,10 +20,13 @@ amplitude 1 (`StateVector.basic`); or its support, the ascending flat
 indices of its nonzero amplitudes and those amplitudes.  Only this module
 reads a state's form.  `apply_round` keeps the index through queries and
 0/1 permutation gates, turns it into a support of one at the first other
-gate, steps a support through queries, permutations and 1-2 target gates
-(`kernels.support_query`, `kernels.support_gate`), and densifies it into
-one fresh buffer before a 3-4 target dense gate or once a gate could
-leave it more than 1/SUPPORT_SHARE of the amplitudes.  Every reader
+gate, steps a support through queries, permutations and dense gates of
+1-4 targets (`kernels.support_query`, `kernels.support_gate`), and
+densifies it into one fresh buffer once a gate could leave it more than
+1/SUPPORT_SHARE of the amplitudes, or at the start of a block with a 3-4
+target dense gate whose dense gates together could (the test an
+index-form state, a support of one, skips: it takes the per-gate test
+once it meets a dense gate).  Every reader
 (masses, distances, readouts, samples, dumps, the words a state occupies)
 has one branch for a state not held dense, which sees an index-form state
 as a support of one, and gives the dense path's bits.  Compared states may
@@ -57,7 +60,8 @@ MAX_GATE_TARGETS = 4
 # a support goes dense before a k-target gate that could grow it past
 # 1/SUPPORT_SHARE of the amplitudes, len(support) * 2**k * SUPPORT_SHARE
 # > 2**N, so a small layout, where the dense kernels are as fast, goes
-# dense within a few gates
+# dense within a few gates; a support meets a block with a 3-4 target
+# dense gate with one test, at its start, on all its dense gates' k together
 SUPPORT_SHARE = 16
 
 
@@ -284,14 +288,24 @@ def gate_block(layout: QubitLayout, gates) -> tuple:
     return tuple((layout.index_bits(u.targets), u) for u in gates)
 
 
+def _outgrows(block, size: int, dim: int) -> bool:
+    """Whether a block holds a 3-4 target dense gate and its dense gates
+    together could grow a support of `size` past 1/SUPPORT_SHARE of the dim
+    amplitudes."""
+    grow = [len(bits) for bits, u in block if u.permutation is None]
+    return max(grow, default=0) > 2 and (size << sum(grow)) * SUPPORT_SHARE > dim
+
+
 def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector:
     """The XOR query under f (none if f is None), then a `gate_block`'s gates.
     An index-form state keeps its form up to the first gate that is not a
     0/1 permutation, where it becomes a support of one.  A support stays
-    one through queries, permutations and 1-2 target gates, and densifies
-    into one fresh buffer for the rest of the block before a 3-4 target
-    dense gate or a gate that could grow it past 1/SUPPORT_SHARE of the
-    amplitudes.  The input is never written."""
+    one through queries, permutations and dense gates, and densifies into
+    one fresh buffer for the rest of the block before a gate that could
+    grow it past 1/SUPPORT_SHARE of the amplitudes.  A support runs a block
+    with a 3-4 target dense gate dense from its query if the block's dense
+    gates together could: a k-target gate grows a support at most
+    2**k-fold.  The input is never written."""
     layout = state.layout
     n, nbits = layout.query_width, layout.total
     if f is not None and f.width != n:
@@ -300,6 +314,10 @@ def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector
     if index is None and support is None:
         amps = state.amplitudes.copy() if f is None else kernels.apply_query(
             state.amplitudes, nbits, n, f.values)
+    elif support is not None and _outgrows(block, len(support[0]), layout.dim):
+        amps, support = _scattered(layout.dim, support), None
+        if f is not None:
+            amps = kernels.apply_query(amps, nbits, n, f.values)
     elif f is not None:
         if index is not None:
             index = kernels.query_index(index, n, f.values)
@@ -312,9 +330,9 @@ def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector
                 continue
             support, index = _support(StateVector.basic(layout, index)), None
         if support is not None:
-            if u.permutation is not None or (len(bits) <= 2 and (
-                    len(support[0]) << len(bits)) * SUPPORT_SHARE <= layout.dim):
-                support = kernels.support_gate(*support, bits, u.matrix)
+            if u.permutation is not None or (
+                    len(support[0]) << len(bits)) * SUPPORT_SHARE <= layout.dim:
+                support = kernels.support_gate(*support, bits, u.matrix, nbits)
                 continue
             amps, support = _scattered(layout.dim, support), None
         kernels.apply_matrix_inplace(amps, nbits, bits, u.matrix)

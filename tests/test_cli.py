@@ -127,6 +127,15 @@ class TestInputErrors:
         self.assert_input_error(["adversary", "--n", "2", "--T", "2", "--trials", "1",
                                  "--epsilon", "-3000"], capsys)
 
+    @pytest.mark.parametrize("t", [[], ["--t", "1"]])
+    def test_pigeonhole_T_past_int64(self, t, capsys):
+        self.assert_input_error(["pigeonhole", "--n", "2", "--trials", "1",
+                                 "--T", "100000000000000000000", *t], capsys)
+
+    def test_lemma2_t_past_int64(self, capsys):
+        self.assert_input_error(["lemma2", "--n", "2", "--tau-work", "2",
+                                 "--t", str(1 << 63), "--trials", "1"], capsys)
+
     @pytest.mark.parametrize("argv", [["lemma1", "--n", "2", "--trials", "2"],
                                       ["census", "--n", "2", "--T", "3"]])
     def test_output_path_that_is_its_own_json_sibling(self, argv, tmp_path, capsys):

@@ -162,6 +162,45 @@ def test_gather_gate_matches_index_table_byte_for_byte(placement, k):
         assert amps.tobytes() == ref.tobytes(), (nbits, bits)
 
 
+def random_support(nbits, bits, m, rng):
+    """A support on m random groups (settings of the bits off the targets),
+    each with a random nonempty set of target patterns, one group full."""
+    k = len(bits)
+    rest = [b for b in range(nbits) if b not in bits]
+    groups = rng.choice(1 << len(rest), size=m, replace=False)
+    base = np.zeros(m, dtype=np.int64)
+    for i, b in enumerate(rest):
+        base |= ((groups >> i) & 1) << b
+    held = rng.random((m, 1 << k)) < rng.random()
+    held[np.arange(m), rng.integers(0, 1 << k, size=m)] = True
+    held[0] = True
+    idx = np.sort(kernels._write_bits(base[:, None], bits, np.arange(1 << k)[None, :])[held])
+    return idx, rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+
+
+# (N - k, group counts m): no, one and two bits off the targets, then whole
+# and partial 4-column tiles around the 2**GATHER_BLOCK_BITS block width
+SUPPORT_CASES = [(0, (1,)), (1, (1, 2)), (2, (1, 2, 3, 4)), (4, (*range(1, 10), 16)),
+                 (12, (1023, 1024, 1025, 2047, 2048, 2049, 4096))]
+
+
+@pytest.mark.parametrize("placement", PLACEMENTS)
+@pytest.mark.parametrize("k", [3, 4])
+def test_support_gate_matches_the_dense_gate_byte_for_byte(placement, k):
+    rng = generator(41, f"support-gate-{placement}", k)
+    for rest, counts in SUPPORT_CASES[:1] if placement == "all" else SUPPORT_CASES:
+        nbits, bits = place_bits(placement, k, rng, k + rest)
+        for j, m in enumerate(counts):
+            u = (haar_unitary if j % 2 else monomial_unitary)(1 << k, rng)
+            idx, vals = random_support(nbits, bits, m, rng)
+            amps = np.zeros(1 << nbits, dtype=np.complex128)
+            amps[idx] = vals
+            kernels.apply_matrix_inplace(amps, nbits, bits, u)
+            got_idx, got_vals = kernels.support_gate(idx, vals, bits, u, nbits)
+            assert np.array_equal(got_idx, np.flatnonzero(amps)), (nbits, bits, m)
+            assert got_vals.tobytes() == amps[got_idx].tobytes(), (nbits, bits, m)
+
+
 @pytest.mark.parametrize("placement", PLACEMENTS)
 def test_permute_index_follows_the_permutation_kernel(placement):
     rng = generator(41, f"permute-index-{placement}")
@@ -263,3 +302,20 @@ def test_kernels_keep_nothing_and_hold_at_most_two_states():
         assert sum(s.size for s in held.statistics("filename")) == 0
     finally:
         tracemalloc.stop()
+
+
+def test_support_gate_holds_nothing_state_sized():
+    # 20 qubits, a support of 64 groups: its step holds block- and
+    # support-sized arrays, under 1/64 of the 16 MiB of amplitudes
+    nbits = 20
+    rng = generator(41, "support-memory", 0)
+    for bits in ((19, 16, 5), (19, 16, 5, 0)):
+        u = haar_unitary(1 << len(bits), rng)
+        support = random_support(nbits, bits, 64, rng)
+        tracemalloc.start()
+        try:
+            kernels.support_gate(*support, bits, u, nbits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (16 << nbits) / 64, peak

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qqlab import kernels
+from qqlab import kernels, qsim
 from qqlab.errors import (CapExceededError, LayoutMismatchError, NonUnitaryError,
                           WidthMismatchError)
 from qqlab.harness import build_program
@@ -475,3 +475,31 @@ class TestSupportPath:
         assert sum(assert_support_matches_dense(family, 3, i % 4 + 1,
                                                 sample_uniform_oracle(3, rng), i)
                    for i in range(12)) > 0
+
+    def test_wide_gates_under_every_share(self, monkeypatch):
+        # random 1-4 target Haar blocks at 3-12 qubits: the chain is the same
+        # whether its states go dense by the default share, at their first
+        # Haar gate (1 << 62) or never by size (0)
+        rng = generator(82, "wide-gates", 0)
+        supports = 0
+        for _ in range(24):
+            total = int(rng.integers(3, 13))
+            n = int(rng.integers(1, total // 2 + 1))
+            layout = QubitLayout(total - 2 * n, n)
+
+            def block():
+                return tuple(random_gate(tuple(int(p) for p in rng.choice(
+                    total, size=int(k), replace=False)), rng)
+                    for k in rng.integers(1, min(4, total) + 1, size=int(rng.integers(1, 4))))
+
+            prog = QueryProgram(layout, block(), [block() for _ in range(3)], tuple(range(n)))
+            f = sample_uniform_oracle(n, rng)
+            want = run(prog, f, BitWord.zero(n)).states
+            supports += sum(s._support is not None for s in want)
+            for share in (1 << 62, 0):
+                monkeypatch.setattr(qsim, "SUPPORT_SHARE", share)
+                for got, ref in zip(run(prog, f, BitWord.zero(n)).states, want, strict=True):
+                    assert np.array_equal(got.amplitudes, ref.amplitudes)
+                    assert query_masses(got).tobytes() == query_masses(ref).tobytes()
+            monkeypatch.undo()
+        assert supports > 0

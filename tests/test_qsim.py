@@ -619,6 +619,7 @@ class TestSupportForm:
 
     def test_steps_match_the_dense_state(self):
         toffoli = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
+        kept = set()  # (targets, kept) seen on the 3-4 target Haar steps
         for lay, sup, rng in self.cases():
             ref = dense(sup)
             t = tuple(int(p) for p in rng.choice(lay.total, size=4, replace=False))
@@ -629,9 +630,13 @@ class TestSupportForm:
                      (lambda s: apply_local_unitary(s, x_gate(t[0])), True),
                      (lambda s: apply_local_unitary(s, cnot_gate(t[1], t[2])), True),
                      (lambda s: apply_local_unitary(s, LocalUnitary(t[:3], toffoli)), True),
-                     (lambda s: apply_local_unitary(s, random_gate(t[:3], rng)), False),
-                     (lambda s: apply_local_unitary(s, random_gate(t, rng)), False)]
+                     (lambda s: apply_local_unitary(s, random_gate(t[:3], rng)), 3),
+                     (lambda s: apply_local_unitary(s, random_gate(t, rng)), 4)]
             for step, keeps_support in steps:
+                if keeps_support in (3, 4):  # kept while the gate leaves it within the share
+                    k, keeps_support = keeps_support, sup._support is not None and (
+                        len(sup._support[0]) << keeps_support) * qsim.SUPPORT_SHARE <= lay.dim
+                    kept.add((k, keeps_support))
                 rng_state = rng.bit_generator.state
                 got = step(sup)
                 rng.bit_generator.state = rng_state  # the same Haar matrix for the dense step
@@ -640,6 +645,7 @@ class TestSupportForm:
                 assert np.array_equal(got.amplitudes, want.amplitudes)
                 assert query_masses(got).tobytes() == query_masses(want).tobytes()
                 sup, ref = got, want
+        assert kept == {(3, True), (3, False), (4, True), (4, False)}
 
     def test_a_block_crosses_the_threshold_mid_block(self, monkeypatch):
         # 10 qubits: a support goes dense before a 2q gate once it holds
@@ -660,6 +666,36 @@ class TestSupportForm:
         assert got._support is None and got.index is None
         want = qsim.apply_round(dense(start), None, block)
         assert np.array_equal(got.amplitudes, want.amplitudes)
+
+
+    def test_a_block_with_a_wide_gate_goes_dense_at_its_start(self, monkeypatch):
+        # 12 qubits, a 3- and a 4-target Haar gate: a block that could grow
+        # a support of 4 2**7-fold past 4096 / SUPPORT_SHARE = 256 amplitudes
+        # runs dense from its query, though its first gate alone would not;
+        # from a basic state it keeps the support
+        lay = QubitLayout(6, 3)
+        rng = generator(73, "block-start", 0)
+        block = qsim.gate_block(lay, [random_gate((0, 4, 7), rng),
+                                      random_gate((1, 2, 9, 11), rng)])
+        f = sample_uniform_oracle(lay.query_width, rng)
+        start = apply_local_unitary(StateVector.basic(lay, int(rng.integers(lay.dim))),
+                                    random_gate((3, 10), rng))
+        for state, dense_calls in ((start, 1), (StateVector.basic(lay, 5), 0)):
+            calls = dict.fromkeys(["apply_query", "support_query", "support_gate",
+                                   "apply_matrix_inplace"], 0)
+            for name in calls:
+                def counted(*args, name=name, real=getattr(kernels, name)):
+                    calls[name] += 1
+                    return real(*args)
+                monkeypatch.setattr(kernels, name, counted)
+            got = qsim.apply_round(state, f, block)
+            monkeypatch.undo()
+            assert calls == {"apply_query": dense_calls, "support_query": 0,
+                             "support_gate": 2 - 2 * dense_calls,
+                             "apply_matrix_inplace": 2 * dense_calls}
+            assert (got._support is None) == bool(dense_calls)
+            want = qsim.apply_round(dense(state), f, block)
+            assert np.array_equal(got.amplitudes, want.amplitudes)
 
 
 class TestOccupiedWords:
