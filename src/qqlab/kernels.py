@@ -13,19 +13,15 @@ the target axes for 3-4 targets, one block of at most 2**GATHER_BLOCK_BITS
 columns at a time.  No kernel keeps anything between calls, and none holds
 more than two state-sized temporaries at once.
 
-A state with one nonzero amplitude 1 stays one under permutation gates and
-the XOR query, so it can be carried as its flat index alone (the index
-form of `qsim.StateVector`): `permute_index` and `query_index` step such
-an index exactly as `apply_permutation_inplace` and `apply_query` move
-the amplitude, with the same bit conventions and no array of length
-2**nbits.  A state with few nonzero amplitudes can be carried as its
-support, its ascending flat indices and their amplitudes:
-`support_query` and `support_gate` step a support as `apply_query` and
-`apply_matrix_inplace` (permutations and dense gates of 1-4 targets) step
-the full array, a dense gate through the dense kernel's own statements or
-product, so every nonzero amplitude gets the same bits.  On flat indices,
-the target bits are read MSB first by `read_bits` and written by
-`_write_bits` alone.
+A state with one nonzero amplitude 1 (the index form of
+`qsim.StateVector`) or few (its support: ascending flat indices and their
+amplitudes) need not be held dense.  A 0/1 permutation gate moves either
+by its `flip_table`, one flat-index XOR per target pattern, exactly as
+`apply_permutation_inplace` moves the amplitudes; `support_query` and
+`support_gate` step a support as `apply_query` and `apply_matrix_inplace`
+step the full array, a dense gate through the dense kernel's own
+statements or product, so every nonzero amplitude gets the same bits.
+Flat-index target bits are read by `read_bits`, written by `_write_bits`.
 """
 
 from __future__ import annotations
@@ -98,9 +94,15 @@ def _write_bits(index, bits: tuple[int, ...], value):
     return index
 
 
-def permute_index(index: int, bits: tuple[int, ...], perm: np.ndarray) -> int:
-    """Where apply_permutation_inplace moves the amplitude at index."""
-    return _write_bits(index, bits, int(perm[read_bits(index, bits)]))
+def flip_table(bits: tuple[int, ...], matrix: np.ndarray) -> tuple[int, ...] | None:
+    """For a 0/1 permutation matrix P on the bits, flips[p]: the flat-index
+    XOR that moves target pattern p to where apply_permutation_inplace
+    sends it, pattern P[p].  None for any other matrix."""
+    perm = as_permutation(matrix)
+    if perm is None:
+        return None
+    offsets = [_write_bits(0, bits, p) for p in range(len(perm))]
+    return tuple(offsets[p] ^ offsets[int(q)] for p, q in enumerate(perm))
 
 
 def apply_permutation_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
@@ -176,11 +178,6 @@ def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.n
     return np.take(amps.reshape(-1, 1 << 2 * n), src.ravel(), axis=1).reshape(-1)
 
 
-def query_index(index: int, n: int, fvals: np.ndarray) -> int:
-    """Where apply_query moves the amplitude at index."""
-    return index ^ (int(fvals[index & ((1 << n) - 1)]) << n)
-
-
 def _sorted(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(idx, kind="stable")
     return idx[order], vals[order]
@@ -195,25 +192,24 @@ def support_query(idx: np.ndarray, vals: np.ndarray, n: int,
 
 
 def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
-                 matrix: np.ndarray, nbits: int) -> tuple[np.ndarray, np.ndarray]:
+                 matrix: np.ndarray, nbits: int, flips=None) -> tuple[np.ndarray, np.ndarray]:
     """apply_matrix_inplace on a support (ascending int64 flat indices,
-    their nonzero amplitudes) of a state of nbits bits, for a 0/1
-    permutation or a dense gate on 1-4 of the bits; returns fresh arrays in
-    the same form.
+    their nonzero amplitudes) of a state of nbits bits, for a gate on 1-4
+    of the bits; returns fresh arrays in the same form.
 
-    A permutation relabels the indices.  A dense gate groups the indices
-    by their bits off the targets and scatters each group into one column
-    of a (2**k, groups) block, absent entries 0; the dense kernel's own
-    statements then combine the block rows (1-2 targets) or take the
+    A 0/1 permutation, given by its `flip_table`, XORs each index with the
+    flips of its target pattern.  For a dense gate the indices are grouped
+    by their bits off the targets, and each group is scattered into one
+    column of a (2**k, groups) block, absent entries 0; the dense kernel's
+    own statements then combine the block rows (1-2 targets) or take the
     block's product (3-4 targets), so each amplitude is computed from the
     same operands in the same order as on the full array.  An amplitude
     that comes out exactly 0 is dropped: where the full array holds it, it
     may be -0.0.
     """
     pattern = read_bits(idx, bits)
-    perm = as_permutation(matrix)
-    if perm is not None:
-        return _sorted(_write_bits(idx, bits, perm[pattern]), vals)
+    if flips is not None:
+        return _sorted(idx ^ np.array(flips, dtype=np.int64)[pattern], vals)
     k = len(bits)
     groups, column = np.unique(_write_bits(idx, bits, 0), return_inverse=True)
     m = len(groups)

@@ -107,15 +107,11 @@ class WordSet:
     def of(cls, words: Iterable[BitWord]) -> "WordSet":
         words = list(words)
         if not words:
-            raise WidthMismatchError("cannot infer width of an empty word set; use empty()")
+            raise WidthMismatchError("cannot infer width of an empty word set")
         width = words[0].width
         if any(w.width != width for w in words):
             raise WidthMismatchError("word set members must share one width")
         return cls(width, frozenset(w.value for w in words))
-
-    @classmethod
-    def empty(cls, width: int) -> "WordSet":
-        return cls(width, frozenset())
 
     @property
     def members(self) -> list[BitWord]:

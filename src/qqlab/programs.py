@@ -10,15 +10,16 @@ working qubits, every other qubit starts at 0.  Output convention: the
 result is read verbatim off the program's output region.
 
 Every chain is stepped one block at a time by `qsim.apply_round`: block 0
-is the prelude, block i + 1 the query and the gates of round i, and each
-gate's index bits are found once per program (`QueryProgram.blocks`).
+is the prelude, block i + 1 the query and the gates of round i.  Each gate
+is placed on its index bits once per program (`QueryProgram.blocks`) and
+finds its flip table on its first step, not when the program is built.
 `chain` (and through it `run`, `run_final` and `success_probability`) and
 the adversary code in `analysis` step their states that way, so a basic
-input stays in the index form of `StateVector` through every 0/1
-permutation gate and query (the whole run, for the classical-emulation,
-truncated-emulation and concentrated families), and from its first other
-gate on is carried as its support while that stays small.  This module
-never reads a state's form.
+input stays in the index form through every 0/1 permutation gate and
+query (the whole run, for the classical-emulation, truncated-emulation
+and concentrated families), and from its first other gate on is carried
+as its support while that stays small.  This module never reads a
+state's form.
 """
 
 from __future__ import annotations

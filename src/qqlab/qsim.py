@@ -18,20 +18,14 @@ mutates its inputs.  A state is held in one of three forms: dense, its
 2**N amplitudes; the index form, the flat index of a basic state with
 amplitude 1 (`StateVector.basic`); or its support, the ascending flat
 indices of its nonzero amplitudes and those amplitudes.  Only this module
-reads a state's form.  `apply_round` keeps the index through queries and
-0/1 permutation gates, turns it into a support of one at the first other
-gate, steps a support through queries, permutations and dense gates of
-1-4 targets (`kernels.support_query`, `kernels.support_gate`), and
-densifies it into one fresh buffer once a gate could leave it more than
-1/SUPPORT_SHARE of the amplitudes, or at the start of a block with a 3-4
-target dense gate whose dense gates together could (the test an
-index-form state, a support of one, skips: it takes the per-gate test
-once it meets a dense gate).  Every reader
-(masses, distances, readouts, samples, dumps, the words a state occupies)
-has one branch for a state not held dense, which sees an index-form state
-as a support of one, and gives the dense path's bits.  Compared states may
-be in different forms.  Chain states agree with the dense path's value for
-value; only the sign of a zero amplitude can differ, which no reader sees.
+reads a state's form, and `apply_round` alone chooses it: a basic input
+keeps its index through queries and 0/1 permutation gates, and a support
+is kept while it stays small.  Every reader (masses, distances, readouts,
+samples, dumps, the words a state occupies) has one branch for a state
+not held dense, which sees an index-form state as a support of one, and
+gives the dense path's bits, so compared states may be in different
+forms.  Chain states agree with the dense path's value for value; only
+the sign of a zero amplitude can differ, which no reader sees.
 `occupied_words` says which address words carry a nonzero amplitude: a
 round under g from a state that carries no word where f and g differ
 equals the round under f in that same sense, so a caller may reuse it.
@@ -43,7 +37,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,6 +56,7 @@ MAX_GATE_TARGETS = 4
 # dense within a few gates; a support meets a block with a 3-4 target
 # dense gate with one test, at its start, on all its dense gates' k together
 SUPPORT_SHARE = 16
+_UNFOUND = object()  # a PlacedGate's flips before its first index or support step
 
 
 def qubit_cap() -> int:
@@ -266,12 +260,6 @@ class LocalUnitary:
         object.__setattr__(gate, "matrix", matrix)
         return gate
 
-    @cached_property
-    def permutation(self) -> np.ndarray | None:
-        """P with matrix[P[j], j] = 1 if the matrix is an exact 0/1
-        permutation, else None; found once per gate, on first use."""
-        return kernels.as_permutation(self.matrix)
-
 
 def basis_state(layout: QubitLayout, assignment: BasisAssignment) -> StateVector:
     """Unit amplitude on one basic state."""
@@ -282,30 +270,44 @@ def basis_state(layout: QubitLayout, assignment: BasisAssignment) -> StateVector
                                          for p, b in enumerate(assignment.bits)))
 
 
-def gate_block(layout: QubitLayout, gates) -> tuple:
-    """The gates as a block for `apply_round`: (index bits, gate) pairs,
-    translated once; a target outside the layout raises."""
-    return tuple((layout.index_bits(u.targets), u) for u in gates)
+class PlacedGate:
+    """A gate on its flat-index bits.  `flips`, its `kernels.flip_table`
+    (None for a dense gate), is found on its first index or support step."""
+
+    __slots__ = ("bits", "gate", "flips")
+
+    def __init__(self, bits: tuple[int, ...], gate: LocalUnitary):
+        self.bits, self.gate, self.flips = bits, gate, _UNFOUND
+
+    def found_flips(self) -> tuple[int, ...] | None:
+        if self.flips is _UNFOUND:
+            self.flips = kernels.flip_table(self.bits, self.gate.matrix)
+        return self.flips
+
+
+def gate_block(layout: QubitLayout, gates) -> tuple[PlacedGate, ...]:
+    """The gates placed on their index bits for `apply_round`, flip tables
+    not yet found; a target outside the layout raises."""
+    return tuple(PlacedGate(layout.index_bits(u.targets), u) for u in gates)
 
 
 def _outgrows(block, size: int, dim: int) -> bool:
     """Whether a block holds a 3-4 target dense gate and its dense gates
     together could grow a support of `size` past 1/SUPPORT_SHARE of the dim
     amplitudes."""
-    grow = [len(bits) for bits, u in block if u.permutation is None]
+    grow = [len(g.bits) for g in block if g.found_flips() is None]
     return max(grow, default=0) > 2 and (size << sum(grow)) * SUPPORT_SHARE > dim
 
 
 def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector:
     """The XOR query under f (none if f is None), then a `gate_block`'s gates.
-    An index-form state keeps its form up to the first gate that is not a
-    0/1 permutation, where it becomes a support of one.  A support stays
-    one through queries, permutations and dense gates, and densifies into
-    one fresh buffer for the rest of the block before a gate that could
-    grow it past 1/SUPPORT_SHARE of the amplitudes.  A support runs a block
-    with a 3-4 target dense gate dense from its query if the block's dense
-    gates together could: a k-target gate grows a support at most
-    2**k-fold.  The input is never written."""
+    An index-form state steps through queries and 0/1 permutation gates by
+    one XOR each, `index ^= flips[read_bits(index, bits)]` for a gate, and
+    becomes a support of one at the first dense gate.  A support densifies
+    into one fresh buffer before a gate that could grow it past
+    1/SUPPORT_SHARE of the amplitudes (a k-target gate grows it at most
+    2**k-fold), or from its query when the block has a 3-4 target dense gate
+    and its dense gates together could.  The input is never written."""
     layout = state.layout
     n, nbits = layout.query_width, layout.total
     if f is not None and f.width != n:
@@ -320,22 +322,25 @@ def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector
             amps = kernels.apply_query(amps, nbits, n, f.values)
     elif f is not None:
         if index is not None:
-            index = kernels.query_index(index, n, f.values)
+            index ^= int(f.values[index & ((1 << n) - 1)]) << n
         else:
             support = kernels.support_query(*support, n, f.values)
-    for bits, u in block:
-        if index is not None:
-            if u.permutation is not None:
-                index = kernels.permute_index(index, bits, u.permutation)
-                continue
-            support, index = _support(StateVector.basic(layout, index)), None
-        if support is not None:
-            if u.permutation is not None or (
-                    len(support[0]) << len(bits)) * SUPPORT_SHARE <= layout.dim:
-                support = kernels.support_gate(*support, bits, u.matrix, nbits)
+    for g in block:
+        if amps is None:
+            flips = g.flips
+            if flips is _UNFOUND:
+                flips = g.found_flips()
+            if index is not None:
+                if flips is not None:
+                    index ^= flips[kernels.read_bits(index, g.bits)]
+                    continue
+                support, index = _support(StateVector.basic(layout, index)), None
+            if flips is not None or (
+                    len(support[0]) << len(g.bits)) * SUPPORT_SHARE <= layout.dim:
+                support = kernels.support_gate(*support, g.bits, g.gate.matrix, nbits, flips)
                 continue
             amps, support = _scattered(layout.dim, support), None
-        kernels.apply_matrix_inplace(amps, nbits, bits, u.matrix)
+        kernels.apply_matrix_inplace(amps, nbits, g.bits, g.gate.matrix)
     if amps is not None:
         amps.flags.writeable = False
     elif support is not None:

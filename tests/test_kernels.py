@@ -13,8 +13,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qqlab import kernels
-from qqlab.qsim import haar_unitary
+from qqlab import kernels, qsim
+from qqlab.qsim import LocalUnitary, QubitLayout, StateVector, haar_unitary
 from qqlab.rng import generator
 
 
@@ -202,17 +202,33 @@ def test_support_gate_matches_the_dense_gate_byte_for_byte(placement, k):
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)
-def test_permute_index_follows_the_permutation_kernel(placement):
-    rng = generator(41, f"permute-index-{placement}")
+def test_flip_tables_step_index_and_support_as_the_permutation_kernel(placement):
+    # a one-gate block through apply_round: the index form steps by the
+    # placed gate's flip table, a support by support_flip
+    rng = generator(41, f"flip-table-{placement}")
     for trial in range(24):
         k = trial % 4 + 1
         nbits, bits = place_bits(placement, k, rng)
+        lay = QubitLayout(max(nbits - 2, 0), 1)  # every index below 2**nbits
+        position = {lay.index_bit(p): p for p in range(lay.total)}
         perm = rng.permutation(1 << k)
+        gate = LocalUnitary([position[b] for b in bits], np.eye(1 << k)[:, perm])
+        block = qsim.gate_block(lay, [gate])
         index = int(rng.integers(0, 1 << nbits))
         amps = np.zeros(1 << nbits, dtype=np.complex128)
         amps[index] = 1
         kernels.apply_permutation_inplace(amps, nbits, bits, perm)
-        assert np.flatnonzero(amps).tolist() == [kernels.permute_index(index, bits, perm)]
+        stepped = qsim.apply_round(StateVector.basic(lay, index), None, block)
+        assert np.flatnonzero(amps).tolist() == [stepped.index]
+        groups = int(rng.integers(1, min(8, 1 << (nbits - k)) + 1))
+        idx, vals = random_support(nbits, bits, groups, rng)
+        amps = np.zeros(1 << nbits, dtype=np.complex128)
+        amps[idx] = vals
+        kernels.apply_permutation_inplace(amps, nbits, bits, perm)
+        got_idx, got_vals = qsim.apply_round(
+            StateVector._of(lay, None, (idx, vals), None), None, block)._support
+        assert np.array_equal(got_idx, np.flatnonzero(amps)), (nbits, bits)
+        assert got_vals.tobytes() == amps[got_idx].tobytes(), (nbits, bits)
 
 
 def test_read_bits_of_no_bits_is_zero_of_the_index_shape():

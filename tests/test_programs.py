@@ -423,6 +423,25 @@ class TestBasisIndexPath:
             address = lay.index_bits(lay.address_positions)
             assert kernels.read_bits(state.index, address) == (words[i] if i < T else 0)
 
+    def test_flip_tables_are_found_once_per_program_not_when_it_is_built(self, monkeypatch):
+        calls = []
+
+        def counted(matrix, real=kernels.as_permutation):
+            calls.append(1)
+            return real(matrix)
+
+        monkeypatch.setattr(kernels, "as_permutation", counted)
+        prog = classical_emulation_program(3, 3)
+        assert calls == []
+        rng = generator(33, "flip-tables", 0)
+        for i in range(17):
+            f, x = sample_uniform_oracle(3, rng), BitWord(3, int(rng.integers(8)))
+            assert success_probability(prog, f, x, iterate(f, x, 3)) == 1.0
+            if i == 0:
+                found = len(calls)
+                assert 0 < found <= len(list(prog.all_gates()))
+        assert len(calls) == found
+
 
 ALL_FAMILIES = PERMUTATION_FAMILIES + ("random",)
 
