@@ -13,6 +13,8 @@ CSV path ending in .json; `validate` refuses one before any trial runs.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -229,15 +231,13 @@ class ExperimentReport(_ReportFiles):
         return [r for r in self.rows if r["checked"] and r["slack"] < -TOL]
 
     def to_csv(self) -> str:
-        lines = [f"# {CSV_VERSION} kind={self.config.kind} master_seed={self.config.seed}",
-                 CSV_SCHEMA]
-        for r in self.rows:
-            lines.append(",".join([
-                r["context"], repr(float(r["lhs"])), repr(float(r["rhs"])),
-                repr(float(r["slack"])), str(r["vacuous"]), str(r["checked"]),
-                r["seed"],
-            ]))
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        out.write(f"# {CSV_VERSION} kind={self.config.kind} master_seed={self.config.seed}\n"
+                  f"{CSV_SCHEMA}\n")
+        csv.writer(out, lineterminator="\n").writerows(  # quotes a context with a comma
+            [r["context"], repr(float(r["lhs"])), repr(float(r["rhs"])),
+             repr(float(r["slack"])), r["vacuous"], r["checked"], r["seed"]] for r in self.rows)
+        return out.getvalue()
 
     def to_json(self) -> str:
         return json.dumps({
@@ -298,7 +298,7 @@ def run_lemma1_trials(cfg: ExperimentConfig) -> ExperimentReport:
     def trial(i):
         rng = generator(cfg.seed, "lemma1", i)
         amps = rng.standard_normal(layout.dim) + 1j * rng.standard_normal(layout.dim)
-        state = StateVector(layout, amps / np.linalg.norm(amps))
+        state = StateVector(layout, amps / StateVector(layout, amps).norm)
         f = sample_uniform_oracle(cfg.n, rng)
         g = sample_uniform_oracle(cfg.n, rng)
         return [lemma1_check(state, f, g, context=f"query_change[n={cfg.n},trial={i}]")], None

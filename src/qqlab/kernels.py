@@ -231,9 +231,12 @@ def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
     return _sorted(new[keep], out[keep])
 
 
-def address_masses(amps: np.ndarray, n: int) -> np.ndarray:
-    """Squared-magnitude mass per address word (length 2**n), address in low bits."""
-    p = amps.real ** 2 + amps.imag ** 2
+def address_masses(amps: np.ndarray, n: int, scratch: bool = False) -> np.ndarray:
+    """Squared-magnitude mass per address word (length 2**n), address in low
+    bits, in flat index order; with scratch, amps is squared in place."""
+    re, im = amps.real, amps.imag
+    p = np.square(re, out=re if scratch else None)
+    p += np.square(im, out=im if scratch else None)
     return p.reshape(-1, 1 << n).sum(axis=0)
 
 

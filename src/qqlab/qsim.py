@@ -24,8 +24,9 @@ is kept while it stays small.  Every reader (masses, distances, readouts,
 samples, dumps, the words a state occupies) has one branch for a state
 not held dense, which sees an index-form state as a support of one, and
 gives the dense path's bits, so compared states may be in different
-forms.  Chain states agree with the dense path's value for value; only
-the sign of a zero amplitude can differ, which no reader sees.
+forms.  A norm or distance is the root of the summed `query_masses`, which
+no BLAS thread count moves.  Chain states agree with the dense path's
+value for value; only the sign of a zero amplitude can differ.
 `occupied_words` says which address words carry a nonzero amplitude: a
 round under g from a state that carries no word where f and g differ
 equals the round under f in that same sense, so a caller may reuse it.
@@ -189,7 +190,8 @@ class StateVector:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        """The root of the summed `query_masses`: every norm's and distance's rule."""
+        return float(np.sqrt(query_masses(self).sum()))
 
 
 _UNIT = np.ones(1, dtype=np.complex128)
@@ -452,7 +454,8 @@ def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float
 
 
 def l2_distance(v1: StateVector, v2: StateVector) -> float:
-    """Euclidean distance, in any pair of forms, with the dense path's bits."""
+    """Euclidean distance, the `norm` of v1 - v2, with the same bits in any
+    pair of forms; two supports merge into v1 - v2 with no dense buffer."""
     if v1.layout != v2.layout:
         raise LayoutMismatchError("states use different layouts")
     if v1 is v2:  # a reused chain state: the norm of zeros
@@ -460,16 +463,24 @@ def l2_distance(v1: StateVector, v2: StateVector) -> float:
     if v1.index is not None and v2.index is not None:
         return 0.0 if v1.index == v2.index else float(np.sqrt(2.0))
     s1, s2 = _support(v1), _support(v2)
-    if s1 is None and s2 is None:
-        return float(np.linalg.norm(v1.amplitudes - v2.amplitudes))
-    # one state-sized buffer: a norm over the union of the supports rounds
-    # differently from the dense norm
-    diff = v1.amplitudes.copy() if s1 is None else _scattered(v1.layout.dim, s1)
+    if s1 is not None and s2 is not None:
+        # ascending, an index both hold with v1's entry first: v1 + (-v2) is v1 - v2
+        idx = np.concatenate((s1[0], s2[0]))
+        order = np.argsort(idx, kind="stable")
+        idx, vals = idx[order], np.concatenate((s1[1], -s2[1]))[order]
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        idx, vals = idx[starts], np.add.reduceat(vals, starts)
+        keep = vals != 0
+        return StateVector._of(v1.layout, None, (idx[keep], vals[keep]), None).norm
+    if s1 is not None:  # v2 - v1 is -(v1 - v2): the same squares
+        v1, v2, s1, s2 = v2, v1, s2, s1
+    diff = v1.amplitudes.copy()
     if s2 is None:
         diff -= v2.amplitudes
     else:
         diff[s2[0]] -= s2[1]
-    return float(np.linalg.norm(diff))
+    masses = kernels.address_masses(diff, v1.layout.query_width, scratch=True)
+    return float(np.sqrt(masses.sum()))
 
 
 def readout_distribution(state: StateVector, positions) -> np.ndarray:
@@ -499,16 +510,11 @@ def observe(state: StateVector, seed) -> BasisAssignment:
     """
     rng = as_generator(seed)
     layout = state.layout
-    support = _support(state)
-    if support is None:
-        idx, vals = None, state.amplitudes
-    else:
-        idx, vals = support
-    p = vals.real ** 2 + vals.imag ** 2
-    total = p.sum()
-    if abs(np.sqrt(total) - 1.0) > 1e-6:
-        raise NotNormalizedError(f"state norm {np.sqrt(total):.9f} is not 1 within 1e-6")
-    cum = np.cumsum(p)
+    norm = state.norm
+    if abs(norm - 1.0) > 1e-6:
+        raise NotNormalizedError(f"state norm {norm:.9f} is not 1 within 1e-6")
+    idx, vals = _support(state) or (None, state.amplitudes)
+    cum = np.cumsum(vals.real ** 2 + vals.imag ** 2)
     index = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
     if idx is None or index == len(idx):  # past the end: the dense path's last index
         index = min(index, layout.dim - 1)

@@ -330,6 +330,9 @@ REPRO_COMMANDS = [
      "--trials", "40", "--seed", "42"],
 ]
 
+THREAD_COMMAND = ["lemma2", "--n", "3", "--tau-work", "8", "--t", "3", "--trials", "30",
+                  "--seed", "1"]
+
 
 def test_criterion_8_reproducibility(tmp_path):
     """Fixed seed: byte-identical CSV across repeated runs and across BLAS
@@ -344,22 +347,24 @@ def test_criterion_8_reproducibility(tmp_path):
             outs.append(out.read_bytes())
         assert outs[0] == outs[1], f"re-run of {command[0]} differed"
 
-    # thread-count independence via subprocess environments
+    # thread-count independence via subprocess environments; the 14-qubit
+    # lemma2 run takes distances long enough for a threaded BLAS to split
     import os
-    base = REPRO_COMMANDS[0]
-    blobs = []
-    for threads in ("1", "4"):
-        out = tmp_path / f"threads_{threads}.csv"
-        env = dict(os.environ,
-                   OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
-                   MKL_NUM_THREADS=threads)
-        code = ("import sys; from qqlab.cli import cli_main; "
-                "sys.exit(cli_main(sys.argv[1:]))")
-        proc = subprocess.run([sys.executable, "-c", code] + base +
-                              ["--out", str(out)], env=env, capture_output=True)
-        assert proc.returncode == 0, proc.stderr.decode()
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
+    for idx, (command, counts) in enumerate(((REPRO_COMMANDS[0], ("1", "4")),
+                                             (THREAD_COMMAND, ("1", "2")))):
+        blobs = []
+        for threads in counts:
+            out = tmp_path / f"threads_{idx}_{threads}.csv"
+            env = dict(os.environ,
+                       OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            code = ("import sys; from qqlab.cli import cli_main; "
+                    "sys.exit(cli_main(sys.argv[1:]))")
+            proc = subprocess.run([sys.executable, "-c", code] + command +
+                                  ["--out", str(out)], env=env, capture_output=True)
+            assert proc.returncode == 0, proc.stderr.decode()
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1], f"{command[0]} differed under {counts} threads"
     elapsed = time.perf_counter() - started
     print(f"ACCEPTANCE 8 (reproducibility): PASS - {len(REPRO_COMMANDS)} commands "
-          f"byte-identical, thread counts 1 vs 4 identical, {elapsed:.1f}s")
+          f"byte-identical, thread counts 1 vs 4 and 1 vs 2 identical, {elapsed:.1f}s")

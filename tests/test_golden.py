@@ -15,13 +15,16 @@ When an output change is intended, rewrite the files with
 """
 
 import contextlib
+import csv
 import io
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 from qqlab.cli import cli_main
+from qqlab.harness import CSV_SCHEMA
 
 GOLDEN = Path(__file__).parent / "golden"
 FAMILIES = ("random", "truncated-emulation", "concentrated")
@@ -52,6 +55,27 @@ def write_csv(name: str, directory: Path) -> Path:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_matches_golden_file(name, tmp_path):
     assert write_csv(name, tmp_path).read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_rows_read_back_as_the_json_rows(name, tmp_path):
+    # a field holding a comma (lemma1's and lemma2's contexts) is quoted, so
+    # every row has the header's fields
+    path = write_csv(name, tmp_path)
+    with open(path, newline="") as fh:
+        assert fh.readline().startswith("# qqlab-report v1 ")
+        rows = list(csv.DictReader(fh))
+    report = json.loads(path.with_suffix(".json").read_text())
+    if name.startswith("census"):
+        assert [float(r["success_probability"]) for r in rows] == report["probabilities"]
+        fields = ["oracle_index", "success_probability", "success"]
+    else:
+        assert [r["context"] for r in rows] == [j["context"] for j in report["rows"]]
+        for row, want in zip(rows, report["rows"], strict=True):
+            for key in ("lhs", "rhs", "slack"):
+                assert repr(float(row[key])) == repr(float(want[key]))
+        fields = CSV_SCHEMA.split(",")
+    assert rows and all(list(r) == fields and None not in r.values() for r in rows)
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -766,3 +767,94 @@ class TestOccupiedWords:
                     got, want = (qsim.apply_round(start, h, block) for h in (g, f))
                     assert np.array_equal(got.amplitudes, want.amplitudes)
                     assert query_masses(got).tobytes() == query_masses(want).tobytes()
+
+
+def rule_norm(amps, n):
+    """The norm rule stated on a dense vector: each address word's squares
+    added in flat index order, then the 2**n word masses summed."""
+    squares = (amps.real ** 2 + amps.imag ** 2).reshape(-1, 1 << n)
+    words = np.zeros(1 << n)
+    for row in squares:
+        words += row
+    return float(np.sqrt(words.sum()))
+
+
+def held_support(lay, idx, vals):
+    """A state held as the support (ascending idx, nonzero vals), no array built."""
+    idx, vals = np.array(idx, dtype=np.int64), np.array(vals, dtype=complex)
+    idx.flags.writeable = vals.flags.writeable = False
+    return StateVector._of(lay, None, (idx, vals), None)
+
+
+def amplitudes_of(lay, idx, vals):
+    amps = np.zeros(lay.dim, dtype=complex)
+    amps[idx] = vals
+    return amps
+
+
+class TestOneNormRule:
+    """norm and l2_distance are the root of the summed per-word masses in
+    every form and pair of forms, byte for byte, and a support's norm or
+    the distance of two supports allocates nothing state-sized."""
+
+    @staticmethod
+    def assert_rule(lay, s1, s2):
+        a1, a2 = amplitudes_of(lay, *s1), amplitudes_of(lay, *s2)
+        n = lay.query_width
+        want = np.float64(rule_norm(a1 - a2, n)).tobytes()
+        forms1 = (held_support(lay, *s1), StateVector(lay, a1))
+        forms2 = (held_support(lay, *s2), StateVector(lay, a2))
+        for v1 in forms1:
+            assert np.float64(v1.norm).tobytes() == np.float64(rule_norm(a1, n)).tobytes()
+            for v2 in forms2:
+                assert np.float64(l2_distance(v1, v2)).tobytes() == want
+
+    def test_every_pair_of_small_supports(self):
+        rng = generator(81, "norm-rule", 0)
+        for lay, sizes in ((QubitLayout(0, 1), (1, 2, 3, 4)), (QubitLayout(1, 1), (1, 2))):
+            sets = [c for k in sizes for c in itertools.combinations(range(lay.dim), k)]
+            for i1 in sets:
+                for i2 in sets:
+                    v1 = rng.standard_normal(len(i1)) + 1j * rng.standard_normal(len(i1))
+                    v2 = rng.standard_normal(len(i2)) + 1j * rng.standard_normal(len(i2))
+                    self.assert_rule(lay, (list(i1), v1), (list(i2), v2))
+                    # the same amplitude wherever both hold an index
+                    shared = dict(zip(i1, v1))
+                    v2 = [shared.get(i, v) for i, v in zip(i2, v2)]
+                    self.assert_rule(lay, (list(i1), v1), (list(i2), v2))
+
+    def test_random_supports_up_to_18_qubits(self):
+        rng = generator(81, "norm-rule", 1)
+        for tau, n in ((0, 3), (4, 3), (2, 6), (8, 3), (6, 6), (0, 9)):
+            lay = QubitLayout(tau, n)
+            for size in (1, 40, 500, 3000):
+                size = min(size, lay.dim // 2)
+                i1 = np.sort(rng.choice(lay.dim, size, replace=False))
+                v1 = (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(size)
+                # half of v2's indices are v1's, half of those with v1's amplitude
+                own = rng.choice(lay.dim, size, replace=False)
+                pick = rng.random(size) < 0.5
+                i2 = np.where(pick, i1, own)
+                i2 = np.unique(i2)
+                v2 = (rng.standard_normal(len(i2)) + 1j * rng.standard_normal(len(i2)))
+                v2 /= np.sqrt(len(i2))
+                same = np.isin(i2, i1) & (rng.random(len(i2)) < 0.5)
+                v2[same] = v1[np.searchsorted(i1, i2[same])]
+                self.assert_rule(lay, (i1, v1), (i2, v2))
+
+    def test_two_supports_and_a_support_norm_hold_nothing_state_sized(self):
+        lay = QubitLayout(8, 6)  # 20 qubits: 16 MiB of amplitudes
+        rng = generator(81, "norm-rule", 2)
+        i1 = np.sort(rng.choice(lay.dim, 64, replace=False))
+        i2 = np.sort(np.concatenate((i1[:32], rng.choice(lay.dim, 32, replace=False))))
+        a = held_support(lay, i1, np.full(64, 1 / 8, dtype=complex))
+        b = held_support(lay, np.unique(i2), np.full(len(np.unique(i2)), 1j / 8))
+        for measure in (lambda: l2_distance(a, b), lambda: a.norm):
+            tracemalloc.start()
+            try:
+                measure()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * lay.dim // 64
+        assert a._amplitudes is None and b._amplitudes is None
