@@ -52,7 +52,7 @@ from .errors import QqlabError, TraceNotSucceededError
 from .oracles import (BitWord, OracleTable, WordSet, iterate, mutate, orbit,
                       sample_uniform_oracle)
 from .programs import QueryProgram, chain, initial_state
-from .qsim import (StateVector, apply_query, apply_round, difference_mass, l2_distance,
+from .qsim import (StateVector, apply_query, apply_round, difference_masses, l2_distance,
                    occupied_words, oracle_distance, query_mass, query_masses)
 from .rng import as_generator
 
@@ -322,9 +322,10 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     premises, premise_masses, deltas, drifts, pivot_roots_primed = [], [], [], [0.0], []
     primed, fresh_is_primed, fresh_from = trace.steps[0].state, True, 0
     for i, step in enumerate(trace.steps):
-        root_primed = float(np.sqrt(query_mass(primed, x_t)))
+        root_primed = float(np.sqrt(step.masses[x_t.value] if primed is step.state
+                                    else query_mass(primed, x_t)))
         pivot_roots_primed.append(root_primed)
-        tri_rhs = (float(np.sqrt(difference_mass(step.state, primed, x_t)))
+        tri_rhs = (float(np.sqrt(difference_masses(step.state, primed)[x_t.value]))
                    + float(np.sqrt(step.masses[x_t.value])))
         if root_primed > tri_rhs + TOL:
             raise QqlabError(f"triangle step failed at i={i}: {root_primed} > {tri_rhs}")

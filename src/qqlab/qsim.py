@@ -24,8 +24,10 @@ is kept while it stays small.  Every reader (masses, distances, readouts,
 samples, dumps, the words a state occupies) has one branch for a state
 not held dense, which sees an index-form state as a support of one, and
 gives the dense path's bits, so compared states may be in different
-forms.  A norm or distance is the root of the summed `query_masses`, which
-no BLAS thread count moves.  Chain states agree with the dense path's
+forms.  Every per-word mass, norm and distance follows one rule: a word's
+mass is its squares added in flat index order (`query_masses`), and a norm
+or distance is the root of the summed masses, which no BLAS thread count
+moves.  Chain states agree with the dense path's
 value for value; only the sign of a zero amplitude can differ.
 `occupied_words` says which address words carry a nonzero amplitude: a
 round under g from a state that carries no word where f and g differ
@@ -390,27 +392,9 @@ def occupied_words(state: StateVector) -> np.ndarray:
     return occupied
 
 
-def _column(vector: StateVector, a: int) -> np.ndarray:
-    """The amplitudes with address word a, in flat index order; a state not
-    held dense has them scattered into zeros, because the pairwise sum of
-    their squares rounds by position."""
-    n = vector.layout.query_width
-    support = _support(vector)
-    if support is None:
-        return vector.amplitudes.reshape(-1, 1 << n)[:, a]
-    idx, vals = support
-    on_a = (idx & ((1 << n) - 1)) == a
-    column = np.zeros(vector.layout.dim >> n, dtype=np.complex128)
-    column[idx[on_a] >> n] = vals[on_a]
-    return column
-
-
-def _squares_sum(column: np.ndarray) -> float:
-    return float((column.real ** 2 + column.imag ** 2).sum())
-
-
 def query_mass(vector: StateVector, a: BitWord) -> float:
-    """Total squared magnitude on basic states whose address half is a.
+    """Total squared magnitude on basic states whose address half is a:
+    `query_masses(vector)[a]`, bit for bit.
 
     Defined for any vector, normalized or not, so it can be evaluated on
     differences of states.
@@ -418,28 +402,41 @@ def query_mass(vector: StateVector, a: BitWord) -> float:
     n = vector.layout.query_width
     if a.width != n:
         raise WidthMismatchError(f"word width {a.width} != query width {n}")
-    support = _support(vector)
-    if support is not None:
-        idx, vals = support
-        on_a = vals[(idx & ((1 << n) - 1)) == a.value].tolist()
-        if len(on_a) <= 2:  # a sum with at most two nonzero terms rounds alike in any order
-            return float(sum(v.real * v.real + v.imag * v.imag for v in on_a))
-    return _squares_sum(_column(vector, a.value))
+    return float(query_masses(vector)[a.value])
 
 
-def difference_mass(v1: StateVector, v2: StateVector, a: BitWord) -> float:
-    """query_mass of the vector v1 - v2 on a, bit for bit, from a's column
-    alone, in any pair of forms."""
+def difference_masses(v1: StateVector, v2: StateVector) -> np.ndarray:
+    """`query_masses` of the vector v1 - v2, bit for bit, in any pair of
+    forms; two supports merge into v1 - v2 with no dense buffer."""
     if v1.layout != v2.layout:
         raise LayoutMismatchError("states use different layouts")
+    n = v1.layout.query_width
+    masses = np.zeros(1 << n)
+    if v1 is v2:  # a reused chain state: the masses of zeros
+        return masses
     if v1.index is not None and v2.index is not None:
-        # the difference is +1 at one index and -1 at the other, or zero
-        mask = (1 << v1.layout.query_width) - 1
-        return 0.0 if v1.index == v2.index else float(
-            (v1.index & mask == a.value) + (v2.index & mask == a.value))
-    if a.width != v1.layout.query_width:
-        raise WidthMismatchError(f"word width {a.width} != query width {v1.layout.query_width}")
-    return _squares_sum(_column(v1, a.value) - _column(v2, a.value))
+        if v1.index != v2.index:  # +1 at one index and -1 at the other
+            masses[v1.index & ((1 << n) - 1)] += 1.0
+            masses[v2.index & ((1 << n) - 1)] += 1.0
+        return masses
+    s1, s2 = _support(v1), _support(v2)
+    if s1 is not None and s2 is not None:
+        # ascending, an index both hold with v1's entry first: v1 + (-v2) is v1 - v2
+        idx = np.concatenate((s1[0], s2[0]))
+        order = np.argsort(idx, kind="stable")
+        idx, vals = idx[order], np.concatenate((s1[1], -s2[1]))[order]
+        starts = np.flatnonzero(np.diff(idx, prepend=-1))
+        idx, vals = idx[starts], np.add.reduceat(vals, starts)
+        keep = vals != 0
+        return query_masses(StateVector._of(v1.layout, None, (idx[keep], vals[keep]), None))
+    if s1 is not None:  # v2 - v1 is -(v1 - v2): the same squares
+        v1, v2, s1, s2 = v2, v1, s2, s1
+    diff = v1.amplitudes.copy()
+    if s2 is None:
+        diff -= v2.amplitudes
+    else:
+        diff[s2[0]] -= s2[1]
+    return kernels.address_masses(diff, n, scratch=True)
 
 
 def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float:
@@ -454,33 +451,9 @@ def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float
 
 
 def l2_distance(v1: StateVector, v2: StateVector) -> float:
-    """Euclidean distance, the `norm` of v1 - v2, with the same bits in any
-    pair of forms; two supports merge into v1 - v2 with no dense buffer."""
-    if v1.layout != v2.layout:
-        raise LayoutMismatchError("states use different layouts")
-    if v1 is v2:  # a reused chain state: the norm of zeros
-        return 0.0
-    if v1.index is not None and v2.index is not None:
-        return 0.0 if v1.index == v2.index else float(np.sqrt(2.0))
-    s1, s2 = _support(v1), _support(v2)
-    if s1 is not None and s2 is not None:
-        # ascending, an index both hold with v1's entry first: v1 + (-v2) is v1 - v2
-        idx = np.concatenate((s1[0], s2[0]))
-        order = np.argsort(idx, kind="stable")
-        idx, vals = idx[order], np.concatenate((s1[1], -s2[1]))[order]
-        starts = np.flatnonzero(np.diff(idx, prepend=-1))
-        idx, vals = idx[starts], np.add.reduceat(vals, starts)
-        keep = vals != 0
-        return StateVector._of(v1.layout, None, (idx[keep], vals[keep]), None).norm
-    if s1 is not None:  # v2 - v1 is -(v1 - v2): the same squares
-        v1, v2, s1, s2 = v2, v1, s2, s1
-    diff = v1.amplitudes.copy()
-    if s2 is None:
-        diff -= v2.amplitudes
-    else:
-        diff[s2[0]] -= s2[1]
-    masses = kernels.address_masses(diff, v1.layout.query_width, scratch=True)
-    return float(np.sqrt(masses.sum()))
+    """Euclidean distance, the `norm` of v1 - v2: the root of the summed
+    `difference_masses`, with the same bits in any pair of forms."""
+    return float(np.sqrt(difference_masses(v1, v2).sum()))
 
 
 def readout_distribution(state: StateVector, positions) -> np.ndarray:
@@ -511,7 +484,7 @@ def observe(state: StateVector, seed) -> BasisAssignment:
     rng = as_generator(seed)
     layout = state.layout
     norm = state.norm
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:  # NaN fails it too
         raise NotNormalizedError(f"state norm {norm:.9f} is not 1 within 1e-6")
     idx, vals = _support(state) or (None, state.amplitudes)
     cum = np.cumsum(vals.real ** 2 + vals.imag ** 2)

@@ -13,7 +13,7 @@ from qqlab.errors import (CapExceededError, DuplicateTargetError, LayoutMismatch
 from qqlab.oracles import BitWord, make_oracle, mutate, sample_uniform_oracle
 from qqlab.qsim import (BasisAssignment, LocalUnitary, QubitLayout, StateVector,
                         apply_local_unitary, apply_query, basis_state, cnot_gate,
-                        difference_mass, h_gate, haar_unitary, l2_distance, observe,
+                        difference_masses, h_gate, haar_unitary, l2_distance, observe,
                         oracle_distance, query_mass, query_masses, random_gate,
                         readout_distribution, state_dump, x_gate)
 from qqlab.rng import generator
@@ -365,6 +365,12 @@ class TestObserve:
         with pytest.raises(NotNormalizedError):
             observe(v, 0)
 
+    def test_rejects_a_nan_norm(self):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = np.nan
+        with pytest.raises(NotNormalizedError):
+            observe(StateVector(QubitLayout(1, 1), amps), 1)
+
 
 class TestSingleQueryBound:
     """Changing the oracle moves a queried state by at most twice the root
@@ -496,19 +502,20 @@ class TestIndexForm:
             assert apply_local_unitary(basic, h_gate(0)).index is None
 
     def test_difference_mass_equals_the_dense_formula(self):
-        # every pair of forms, and equal indices, against query_mass of the
-        # difference vector built in full
+        # every pair of forms, and equal indices, against query_masses of the
+        # difference vector built in full, and query_mass against query_masses
         for lay, basic, rng in self.cases():
             n = lay.query_width
             dense = random_state(lay, rng)
             states = (basic, StateVector.basic(lay, int(rng.integers(lay.dim))), dense,
                       random_state(lay, rng))
             for v1 in states:
+                masses = query_masses(v1)
+                for a in range(1 << n):
+                    assert np.float64(query_mass(v1, BitWord(n, a))).tobytes() == masses[a].tobytes()
                 for v2 in states:
                     diff = StateVector(lay, v1.amplitudes - v2.amplitudes)
-                    for a in range(1 << n):
-                        word = BitWord(n, a)
-                        assert difference_mass(v1, v2, word) == query_mass(diff, word)
+                    assert difference_masses(v1, v2).tobytes() == query_masses(diff).tobytes()
 
     def test_readout_distribution_of_the_index_form(self):
         for lay, basic, rng in self.cases():
@@ -610,13 +617,14 @@ class TestSupportForm:
             states = (sup, dense(sup), support_state(lay, rng, 2),
                       StateVector.basic(lay, int(rng.integers(lay.dim))), random_state(lay, rng))
             for v1 in states:
+                masses = query_masses(v1)
+                for a in range(1 << n):
+                    assert np.float64(query_mass(v1, BitWord(n, a))).tobytes() == masses[a].tobytes()
                 for v2 in states:
                     want = l2_distance(dense(v1), dense(v2))
                     assert np.float64(l2_distance(v1, v2)).tobytes() == np.float64(want).tobytes()
-                    for a in range(1 << n):
-                        word = BitWord(n, a)
-                        assert (difference_mass(v1, v2, word)
-                                == difference_mass(dense(v1), dense(v2), word))
+                    diff = StateVector(lay, v1.amplitudes - v2.amplitudes)
+                    assert difference_masses(v1, v2).tobytes() == query_masses(diff).tobytes()
 
     def test_steps_match_the_dense_state(self):
         toffoli = np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 5, 7, 6]]
@@ -769,14 +777,19 @@ class TestOccupiedWords:
                     assert query_masses(got).tobytes() == query_masses(want).tobytes()
 
 
-def rule_norm(amps, n):
-    """The norm rule stated on a dense vector: each address word's squares
-    added in flat index order, then the 2**n word masses summed."""
+def rule_masses(amps, n):
+    """The mass rule stated on a dense vector: each address word's squares
+    added in flat index order."""
     squares = (amps.real ** 2 + amps.imag ** 2).reshape(-1, 1 << n)
     words = np.zeros(1 << n)
     for row in squares:
         words += row
-    return float(np.sqrt(words.sum()))
+    return words
+
+
+def rule_norm(amps, n):
+    """The norm rule: the root of the 2**n word masses summed."""
+    return float(np.sqrt(rule_masses(amps, n).sum()))
 
 
 def held_support(lay, idx, vals):
@@ -793,21 +806,28 @@ def amplitudes_of(lay, idx, vals):
 
 
 class TestOneNormRule:
-    """norm and l2_distance are the root of the summed per-word masses in
-    every form and pair of forms, byte for byte, and a support's norm or
-    the distance of two supports allocates nothing state-sized."""
+    """query_mass, difference_masses, norm and l2_distance follow the one
+    per-word mass rule in every form and pair of forms, byte for byte, and
+    a support's norm, its mass on one word or the distance or difference
+    masses of two supports allocate nothing state-sized."""
 
     @staticmethod
-    def assert_rule(lay, s1, s2):
+    def assert_rule(lay, s1, s2, words=8):
         a1, a2 = amplitudes_of(lay, *s1), amplitudes_of(lay, *s2)
         n = lay.query_width
         want = np.float64(rule_norm(a1 - a2, n)).tobytes()
+        want_masses = rule_masses(a1 - a2, n).tobytes()
         forms1 = (held_support(lay, *s1), StateVector(lay, a1))
         forms2 = (held_support(lay, *s2), StateVector(lay, a2))
         for v1 in forms1:
             assert np.float64(v1.norm).tobytes() == np.float64(rule_norm(a1, n)).tobytes()
+            masses = rule_masses(a1, n)
+            assert query_masses(v1).tobytes() == masses.tobytes()
+            for a in range(0, 1 << n, max(1, (1 << n) // words)):
+                assert np.float64(query_mass(v1, BitWord(n, a))).tobytes() == masses[a].tobytes()
             for v2 in forms2:
                 assert np.float64(l2_distance(v1, v2)).tobytes() == want
+                assert difference_masses(v1, v2).tobytes() == want_masses
 
     def test_every_pair_of_small_supports(self):
         rng = generator(81, "norm-rule", 0)
@@ -824,9 +844,13 @@ class TestOneNormRule:
                     self.assert_rule(lay, (list(i1), v1), (list(i2), v2))
 
     def test_random_supports_up_to_18_qubits(self):
-        rng = generator(81, "norm-rule", 1)
+        rng, dense_rng = generator(81, "norm-rule", 1), generator(81, "norm-rule", 3)
         for tau, n in ((0, 3), (4, 3), (2, 6), (8, 3), (6, 6), (0, 9)):
             lay = QubitLayout(tau, n)
+            # two dense states: each word's mass sums every entry of its column
+            every = np.arange(lay.dim)
+            self.assert_rule(lay, (every, random_state(lay, dense_rng).amplitudes),
+                             (every, random_state(lay, dense_rng).amplitudes), words=32)
             for size in (1, 40, 500, 3000):
                 size = min(size, lay.dim // 2)
                 i1 = np.sort(rng.choice(lay.dim, size, replace=False))
@@ -846,10 +870,16 @@ class TestOneNormRule:
         lay = QubitLayout(8, 6)  # 20 qubits: 16 MiB of amplitudes
         rng = generator(81, "norm-rule", 2)
         i1 = np.sort(rng.choice(lay.dim, 64, replace=False))
-        i2 = np.sort(np.concatenate((i1[:32], rng.choice(lay.dim, 32, replace=False))))
+        i2 = np.unique(np.concatenate((i1[:32], rng.choice(lay.dim, 32, replace=False))))
         a = held_support(lay, i1, np.full(64, 1 / 8, dtype=complex))
-        b = held_support(lay, np.unique(i2), np.full(len(np.unique(i2)), 1j / 8))
-        for measure in (lambda: l2_distance(a, b), lambda: a.norm):
+        b = held_support(lay, i2, np.full(len(i2), 1j / 8))
+        # n = 2: one word's column would take a quarter of the state
+        narrow = QubitLayout(16, 2)
+        c = held_support(narrow, i1, np.full(64, 1 / 8, dtype=complex))
+        d = held_support(narrow, i2, np.full(len(i2), 1j / 8))
+        for measure in (lambda: l2_distance(a, b), lambda: a.norm,
+                        lambda: query_mass(c, BitWord(2, int(i1[0]) & 3)),
+                        lambda: difference_masses(c, d)):
             tracemalloc.start()
             try:
                 measure()
@@ -857,4 +887,4 @@ class TestOneNormRule:
             finally:
                 tracemalloc.stop()
             assert peak < 16 * lay.dim // 64
-        assert a._amplitudes is None and b._amplitudes is None
+        assert all(v._amplitudes is None for v in (a, b, c, d))
