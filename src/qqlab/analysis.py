@@ -32,12 +32,12 @@ state carries no word where the two oracles differ (`qsim.occupied_words`:
 no nonzero amplitude there, which a mass of 0.0 does not show), the two
 XOR queries move every nonzero amplitude alike, the changed columns hold
 only zeros, and the gates after them give every nonzero amplitude the same
-bits.  The states then agree value for value, only the sign of zeros
-aside, which no reader sees, so every report keeps its bits.  The g-run of
-`lemma2_check`, the swapped steps and the fixed-final-oracle chain of the
-bound report, and its freshly-redirected chain (beside the fixed chain,
-restarted after the pass from the last trace state the two shared) reuse
-so; `pigeonhole_mutation_check` takes the f-run's final state when no
+bits.  The states then agree byte for byte, as chain states hold no -0.0
+(`qsim`), so every report keeps its bits.  The g-run of `lemma2_check`,
+the swapped steps and the fixed-final-oracle chain of the bound report,
+and its freshly-redirected chain (beside the fixed chain, restarted after
+the pass from the last trace state the two shared) reuse so;
+`pigeonhole_mutation_check` takes the f-run's final state when no
 pre-query state carries the mutated word, and steps from chi_0 otherwise.
 """
 
@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QqlabError, TraceNotSucceededError
-from .oracles import (BitWord, OracleTable, WordSet, iterate, mutate, orbit,
+from .oracles import (BitWord, OracleTable, WordSet, _walk, iterate, mutate,
                       sample_uniform_oracle)
 from .programs import QueryProgram, chain, initial_state
 from .qsim import (StateVector, apply_query, apply_round, difference_masses, l2_distance,
@@ -398,15 +398,36 @@ class MassMatrix:
     Row sums deduplicate repeated orbit words (mass is per word); the
     column minimum is checked against t/T when the orbit words are
     distinct, and against the unconditional column-average otherwise.
+    Held are the `columns`, `sums` and `words` of the orbit's distinct words
+    in walk order, then of its first repeat if T reaches it; `entries`,
+    `col_sums` and `orbit_words`, the T-column views, are built when read.
     """
 
-    entries: np.ndarray
+    columns: np.ndarray
     row_sums: np.ndarray
-    col_sums: np.ndarray
-    orbit_words: tuple[BitWord, ...]
+    sums: np.ndarray
+    words: tuple[BitWord, ...]
     t: int
     T: int
     distinct_orbit: bool
+
+    def _orbit_columns(self) -> np.ndarray:
+        # the walk, cycling from the first step of the last held word
+        j, start = np.arange(self.T), self.words.index(self.words[-1])
+        cycle = len(self.words) - (not self.distinct_orbit) - start
+        return np.where(j < start, j, start + (j - start) % cycle)
+
+    @property
+    def entries(self) -> np.ndarray:
+        return np.take(self.columns, self._orbit_columns(), axis=1)
+
+    @property
+    def col_sums(self) -> np.ndarray:
+        return self.sums[self._orbit_columns()]
+
+    @property
+    def orbit_words(self) -> tuple[BitWord, ...]:
+        return tuple(self.words[j] for j in self._orbit_columns())
 
 
 def query_mass_matrix(prog: QueryProgram, f: OracleTable, T: int,
@@ -420,25 +441,36 @@ def _mass_matrix_and_final_state(prog: QueryProgram, f: OracleTable, T: int,
     t = prog.query_count
     if T < 1:
         raise ValueError("need T >= 1 orbit words")
-    words = tuple(orbit(f, input_word, T))
-    values = np.array([w.value for w in words])
+    walk, start = _walk(f, input_word, T)
+    distinct = len(walk) == T
+    # with the first repeat, at least two columns when T is: numpy adds one
+    # column's rows pairwise, and several columns' rows in order
+    values = np.array(walk if distinct else walk + [walk[start]])
     unique = np.unique(values)
-    entries = np.zeros((t, T))
+    columns = np.zeros((t, len(values)))
     row_sums = np.zeros(t)
     for i, final in enumerate(states):
         if i < t:  # the last state of the chain is the final one
             masses = query_masses(final)
-            entries[i] = masses[values]
+            columns[i] = masses[values]
             row_sums[i] = masses[unique].sum()
             if row_sums[i] > 1.0 + TOL:
                 raise QqlabError(f"row {i} mass {row_sums[i]} exceeds 1")
-    col_sums = entries.sum(axis=0)
-    distinct = len(unique) == T
-    floor = float(col_sums.min()) if T else 0.0
-    limit = t / T if distinct else float(col_sums.sum()) / T
+    sums = columns.sum(axis=0)
+    floor = float(sums.min())
+    if distinct:
+        limit = t / T
+    else:  # the T-column average, each word weighted by its orbit count: in
+        # another order than a T-column sum, but only the raise below reads it
+        reps, extra = divmod(T - start, len(walk) - start)
+        weights = np.ones(len(walk))
+        weights[start:] = reps
+        weights[start:start + extra] += 1
+        limit = float((sums[:-1] * weights).sum()) / T
     if floor > limit + TOL:
         raise QqlabError(f"pigeonhole failed: min column {floor} > {limit}")
-    return MassMatrix(entries, row_sums, col_sums, words, t, T, distinct), final
+    words = tuple(BitWord(f.width, int(v)) for v in values)
+    return MassMatrix(columns, row_sums, sums, words, t, T, distinct), final
 
 
 def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
@@ -459,8 +491,8 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     m, final_f = _mass_matrix_and_final_state(prog, f, T, input_word,
                                               recorded(itertools.chain((mutated,), states)))
     t = m.t
-    j_star = int(np.argmin(m.col_sums))
-    word = m.orbit_words[j_star]
+    j_star = int(np.argmin(m.sums))  # the first of equal columns: a word's first step
+    word = m.words[j_star]
     rng = as_generator(seed)
     current = int(f.values[word.value])
     others = np.setdiff1d(np.arange(1 << f.width), [current])
@@ -473,13 +505,13 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     else:  # no pre-query state carries the mutated word: the g-run is the f-run
         mutated = final_f
     lhs = l2_distance(final_f, mutated)
-    per_round = 2.0 * float(np.sqrt(m.entries[:, j_star]).sum())
-    cauchy = 2.0 * float(np.sqrt(t * m.col_sums[j_star]))
+    per_round = 2.0 * float(np.sqrt(m.columns[:, j_star]).sum())
+    cauchy = 2.0 * float(np.sqrt(t * m.sums[j_star]))
     rhs = min(per_round, cauchy)
     changed = iterate(g, input_word, T) != iterate(f, input_word, T)
     return GapReport("orbit_mutation", lhs, rhs, extra={
         "j_star": j_star,
-        "column_sum": float(m.col_sums[j_star]),
+        "column_sum": float(m.sums[j_star]),
         "column_limit": t / T,
         "per_round_rhs": per_round,
         "cauchy_rhs": cauchy,

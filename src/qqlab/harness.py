@@ -111,8 +111,8 @@ class ExperimentConfig:
             raise ConfigError("n must be >= 1")
         if self.tau_work < 0 or self.seed < 0 or (self.t is not None and self.t < 0):
             raise ConfigError("tau_work, seed and t must be >= 0")
-        # lemma2 trials draw their t as an int64; a pigeonhole run holds an
-        # orbit and a mass matrix of T columns
+        # lemma2 trials draw their t as an int64; a pigeonhole mass matrix
+        # indexes its T orbit steps by int64
         if self.t is not None and self.t >= 1 << 63:
             raise ConfigError(f"t must be below 2**63, got {self.t}")
         if self.kind == "pigeonhole" and self.T >= 1 << 63:

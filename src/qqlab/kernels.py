@@ -7,11 +7,11 @@ Callers translate qubit positions to index bits; kernels never see layouts.
 Gates are applied in place on a caller-owned buffer, all addressed
 through one view: the (2,)*nbits reshape with the target axes moved to
 the front, bits[0] first, indexed by local pattern.  Permutation gates
-(X, CNOT, Toffoli, ...) rotate its pattern slices cycle by cycle; dense
-gates combine the slices for 1-2 targets and take a matrix product over
-the target axes for 3-4 targets, one block of at most 2**GATHER_BLOCK_BITS
-columns at a time.  No kernel keeps anything between calls, and none holds
-more than two state-sized temporaries at once.
+(X, CNOT, Toffoli, ...) rotate its pattern slices cycle by cycle; every
+other gate, of any 1-4 targets, is one matrix product over the target
+axes, one block of at most 2**GATHER_BLOCK_BITS columns at a time.  No
+kernel keeps anything between calls, and none holds more than two
+state-sized temporaries at once.
 
 A state with one nonzero amplitude 1 (the index form of
 `qsim.StateVector`) or few (its support: ascending flat indices and their
@@ -19,8 +19,8 @@ amplitudes) need not be held dense.  A 0/1 permutation gate moves either
 by its `flip_table`, one flat-index XOR per target pattern, exactly as
 `apply_permutation_inplace` moves the amplitudes; `support_query` and
 `support_gate` step a support as `apply_query` and `apply_matrix_inplace`
-step the full array, a dense gate through the dense kernel's own
-statements or product, so every nonzero amplitude gets the same bits.
+step the full array, a dense gate through the same product, so every
+nonzero amplitude gets the same bits.
 Flat-index target bits are read by `read_bits`, written by `_write_bits`.
 """
 
@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# A 3-4 target product runs over blocks of 2**GATHER_BLOCK_BITS columns
+# A dense gate's product runs over blocks of 2**GATHER_BLOCK_BITS columns
 # (the leading other bits fixed), so it holds two block-sized temporaries
-# rather than two state-sized ones; a state of up to 14 bits is one block.
-# A column's zgemm bits can depend on the block width: on OpenBLAS 0.3.31,
-# 8x8 and 16x16 products match one product over all columns only for a
-# width that is a multiple of 4.  Each block is 2**11 columns or the whole
-# state, so the blocking keeps the bits; `support_gate` pads its block of
-# gathered columns to whole 4-column tiles for the same reason, or takes
-# the whole state's width where that is below 4 columns.
+# rather than two state-sized ones; a state of up to k + 11 bits is one
+# block.  A column's zgemm bits can depend on the block width: on OpenBLAS
+# 0.3.31, products match one product over all columns only for a width
+# that is a multiple of 4.  Each block is 2**11 columns or the whole state,
+# so the blocking keeps the bits; `support_gate` pads its block of gathered
+# columns to whole 4-column tiles for the same reason, or takes the whole
+# state's width where that is below 4 columns.
 GATHER_BLOCK_BITS = 11
 
 
@@ -119,29 +119,11 @@ def apply_permutation_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...
         views[0][...] = tmp
 
 
-def _apply_dense_1q_inplace(view, u):
-    v0, v1 = view[0, ...], view[1, ...]
-    t0 = v0.copy()
-    v0 *= u[0, 0]
-    v0 += u[0, 1] * v1
-    v1 *= u[1, 1]
-    v1 += u[1, 0] * t0
-
-
-def _apply_dense_2q_inplace(view, u):
-    views = [view[l >> 1, l & 1, ...] for l in range(4)]
-    olds = [views[0].copy(), views[1].copy(), views[2].copy(), views[3]]
-    for row in range(4):
-        acc = u[row, 0] * olds[0]
-        acc += u[row, 1] * olds[1]
-        acc += u[row, 2] * olds[2]
-        acc += u[row, 3] * olds[3]
-        views[row][...] = acc
-
-
 def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
                          matrix: np.ndarray) -> None:
-    """Apply a 2**k x 2**k unitary to the given k index bits, in place.
+    """Apply a 2**k x 2**k unitary to the given k index bits, in place: a
+    0/1 permutation by the permutation kernel, any other matrix by one
+    blocked product.
 
     bits[0] is the most significant bit of the gate's local basis, matching
     the composite-state encoding |e(g_0), e(g_1), ...>.
@@ -152,15 +134,10 @@ def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
         return
     k = len(bits)
     view = _target_view(amps, nbits, bits)
-    if k == 1:
-        _apply_dense_1q_inplace(view, matrix)
-    elif k == 2:
-        _apply_dense_2q_inplace(view, matrix)
-    else:
-        # rows are local patterns, columns the other bits in flat order
-        for lead in np.ndindex((2,) * max(0, nbits - k - GATHER_BLOCK_BITS)):
-            block = view[(slice(None),) * k + lead]
-            block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
+    # rows are local patterns, columns the other bits in flat order
+    for lead in np.ndindex((2,) * max(0, nbits - k - GATHER_BLOCK_BITS)):
+        block = view[(slice(None),) * k + lead]
+        block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
 
 
 def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.ndarray:
@@ -200,12 +177,11 @@ def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
     A 0/1 permutation, given by its `flip_table`, XORs each index with the
     flips of its target pattern.  For a dense gate the indices are grouped
     by their bits off the targets, and each group is scattered into one
-    column of a (2**k, groups) block, absent entries 0; the dense kernel's
-    own statements then combine the block rows (1-2 targets) or take the
-    block's product (3-4 targets), so each amplitude is computed from the
-    same operands in the same order as on the full array.  An amplitude
-    that comes out exactly 0 is dropped: where the full array holds it, it
-    may be -0.0.
+    column of a (2**k, groups) block, absent entries 0; the block's product
+    with the matrix then computes each amplitude from the same operands in
+    the same order as the dense kernel's product on the full array.  An
+    amplitude that comes out exactly 0 is dropped; the full array holds it
+    as +0.0, as the product wrote every zero on OpenBLAS 0.3.31.
     """
     pattern = read_bits(idx, bits)
     if flips is not None:
@@ -213,18 +189,10 @@ def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
     k = len(bits)
     groups, column = np.unique(_write_bits(idx, bits, 0), return_inverse=True)
     m = len(groups)
-    if k <= 2:
-        # at least two columns: numpy multiplies a one-element array in place
-        # on a scalar path that rounds differently from its array loops
-        block = np.zeros((1 << k, max(m, 2)), dtype=np.complex128)
-        block[pattern, column] = vals
-        dense = _apply_dense_1q_inplace if k == 1 else _apply_dense_2q_inplace
-        dense(block.reshape((2,) * k + (-1,)), matrix)
-    else:
-        # whole 4-column tiles, or the dense product's width (GATHER_BLOCK_BITS)
-        block = np.zeros((1 << k, min(-(-m // 4) * 4, 1 << (nbits - k))), dtype=np.complex128)
-        block[pattern, column] = vals
-        block = matrix @ block
+    # whole 4-column tiles, or the dense product's width (GATHER_BLOCK_BITS)
+    block = np.zeros((1 << k, min(-(-m // 4) * 4, 1 << (nbits - k))), dtype=np.complex128)
+    block[pattern, column] = vals
+    block = matrix @ block
     new = _write_bits(groups, bits, np.arange(1 << k, dtype=np.int64)[:, None]).ravel()
     out = block[:, :m].ravel()
     keep = out != 0

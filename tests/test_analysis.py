@@ -11,7 +11,7 @@ from qqlab import analysis, kernels, qsim
 from qqlab.errors import TraceNotSucceededError
 from qqlab.harness import build_program
 from qqlab.oracles import (BitWord, OracleTable, all_oracles, iterate, make_oracle, mutate,
-                           sample_uniform_oracle)
+                           orbit, sample_uniform_oracle)
 from qqlab.programs import (QueryProgram, classical_emulation_program, initial_state,
                             random_program, run, truncate_after_query)
 from qqlab.qsim import (LocalUnitary, QubitLayout, StateVector, apply_local_unitary,
@@ -306,6 +306,57 @@ class TestQueryMassMatrix:
         prog = random_program(2, 2, 2, 0)
         m = query_mass_matrix(prog, ident, 4, w("01"))
         assert not m.distinct_orbit  # fixed point repeats the same word
+
+    @staticmethod
+    def t_column_table(prog, f, T, x):
+        """The mass matrix with one column per orbit step, T of them."""
+        t, words = prog.query_count, orbit(f, x, T)
+        values = np.array([v.value for v in words])
+        entries, row_sums = np.zeros((t, T)), np.zeros(t)
+        for i, state in enumerate(run(prog, f, x).states[:t]):
+            masses = query_masses(state)
+            entries[i] = masses[values]
+            row_sums[i] = masses[np.unique(values)].sum()
+        return entries, row_sums, entries.sum(axis=0), tuple(words)
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_views_match_the_t_column_table(self, trial):
+        # fixed points, short cycles and distinct orbits, up to 12 rounds:
+        # every view and report field has the T-column table's bits
+        rng = generator(5, "t-columns", trial)
+        n, t = int(rng.integers(1, 4)), int(rng.integers(1, 13))
+        prog = random_program(n, n, t, rng)  # a nonzero input needs n work qubits
+        x = BitWord(n, int(rng.integers(0, 1 << n)))
+        f = sample_uniform_oracle(n, rng)
+        if trial % 3 == 0:
+            f = mutate(f, x, x)
+        for T in (1, 2, 3, 1 << n, (1 << n) + 1, 40):
+            entries, row_sums, col_sums, words = self.t_column_table(prog, f, T, x)
+            m = query_mass_matrix(prog, f, T, x)
+            assert m.entries.tobytes() == entries.tobytes()
+            assert m.row_sums.tobytes() == row_sums.tobytes()
+            assert m.col_sums.tobytes() == col_sums.tobytes()
+            assert m.orbit_words == words and m.distinct_orbit == (len(set(words)) == T)
+            j = int(np.argmin(col_sums))
+            rep = pigeonhole_mutation_check(prog, f, T, x, 7)
+            assert rep.extra["j_star"] == j and rep.extra["mutated_word"] == str(words[j])
+            assert rep.extra["column_sum"] == col_sums[j]
+            assert rep.extra["per_round_rhs"] == 2.0 * float(np.sqrt(entries[:, j]).sum())
+
+    def test_long_orbit_holds_nothing_orbit_sized(self):
+        # T = 10**6 steps on 4 words: a T-column table alone is 8 MB
+        rng = generator(5, "long-orbit", 0)
+        prog = random_program(2, 0, 2, rng)
+        f = sample_uniform_oracle(2, rng)
+        tracemalloc.start()
+        try:
+            m = query_mass_matrix(prog, f, 10 ** 6, BitWord.zero(2))
+            pigeonhole_mutation_check(prog, f, 10 ** 6, BitWord.zero(2), 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak
+        assert m.entries.shape == (2, 10 ** 6)
 
 
 class TestPigeonholeMutation:

@@ -6,8 +6,9 @@ numpy details that are easy to disturb (the operand order of a complex
 product, temporary elision), so a change to a kernel or to the order of
 a sweep's generator draws shows up here.
 
-The `random` family draws only 1-2-target gates, so no case here runs the
-3-4-target gate path; tests/test_kernels.py covers it.
+The `random` family draws only 1-2-target gates, and every dense gate of
+1-4 targets runs the one blocked matrix product, so these cases pin its
+bits at 1-2 targets; tests/test_kernels.py covers 3-4.
 
 When an output change is intended, rewrite the files with
 

@@ -651,7 +651,8 @@ class TestSupportForm:
                 rng.bit_generator.state = rng_state  # the same Haar matrix for the dense step
                 want = step(ref)
                 assert (got._support is not None) == keeps_support
-                assert np.array_equal(got.amplitudes, want.amplitudes)
+                # byte for byte: no step writes -0.0 where a support holds +0.0
+                assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
                 assert query_masses(got).tobytes() == query_masses(want).tobytes()
                 sup, ref = got, want
         assert kept == {(3, True), (3, False), (4, True), (4, False)}
