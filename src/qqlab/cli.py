@@ -128,8 +128,9 @@ def cli_main(argv=None) -> int:
 
     try:
         if args.command == "info":
+            cap = qubit_cap()
             print(f"qqlab {__version__}")
-            print(f"qubit cap: {qubit_cap()} (override with QQLAB_QUBIT_CAP)")
+            print(f"qubit cap: {cap} (override with QQLAB_QUBIT_CAP)")
             print("index encoding: address word in the lowest n index bits, answer "
                   "half in the next n, working register on top; words read "
                   "most-significant-bit first")

@@ -455,11 +455,11 @@ class CensusReport(_ReportFiles):
 def exact_census(family, n: int, T: int, t: int | None = None,
                  threshold: float = DEFAULT_THRESHOLD,
                  allow_large: bool = False) -> CensusReport:
-    """Exact success probability on every one of the 2**(n*2**n) oracles.
+    """Exact success probability on every one of the 2**(n*2**n) oracles,
+    of a family's program or of a built one (reported as "custom").
 
     The target for oracle f is the T-th orbit word of the all-zero input.
-    Gated to n <= 2 (256 oracles) unless allow_large is set: n = 3 already
-    means 2**24 oracles.
+    Gated to n <= 2 (256 oracles; n = 3 has 2**24) unless allow_large is set.
     """
     if n > 2 and not allow_large:
         raise CapExceededError(f"census over 2**{n * 2 ** n} oracles needs allow_large=True")

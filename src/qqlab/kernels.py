@@ -6,18 +6,18 @@ Callers translate qubit positions to index bits; kernels never see layouts.
 
 Gates are applied in place on a caller-owned buffer, all addressed
 through one view: the (2,)*nbits reshape with the target axes moved to
-the front, bits[0] first, indexed by local pattern.  Permutation gates
-(X, CNOT, Toffoli, ...) rotate its pattern slices cycle by cycle; every
-other gate, of any 1-4 targets, is one matrix product over the target
-axes, one block of at most 2**GATHER_BLOCK_BITS columns at a time.  No
-kernel keeps anything between calls, and none holds more than two
-state-sized temporaries at once.
+the front, bits[0] first, indexed by local pattern.  Every gate of 1-4
+targets runs one loop over blocks of that view, at most
+2**GATHER_BLOCK_BITS columns each: a 0/1 permutation (X, CNOT, Toffoli,
+...) moves the block's pattern rows that it moves, and any other gate is
+one matrix product over the target axes.  No kernel keeps anything
+between calls, and no gate holds more than two blocks at once.
 
 A state with one nonzero amplitude 1 (the index form of
 `qsim.StateVector`) or few (its support: ascending flat indices and their
 amplitudes) need not be held dense.  A 0/1 permutation gate moves either
 by its `flip_table`, one flat-index XOR per target pattern, exactly as
-`apply_permutation_inplace` moves the amplitudes; `support_query` and
+`apply_matrix_inplace` moves the amplitudes; `support_query` and
 `support_gate` step a support as `apply_query` and `apply_matrix_inplace`
 step the full array, a dense gate through the same product, so every
 nonzero amplitude gets the same bits.
@@ -28,15 +28,15 @@ from __future__ import annotations
 
 import numpy as np
 
-# A dense gate's product runs over blocks of 2**GATHER_BLOCK_BITS columns
-# (the leading other bits fixed), so it holds two block-sized temporaries
-# rather than two state-sized ones; a state of up to k + 11 bits is one
-# block.  A column's zgemm bits can depend on the block width: on OpenBLAS
-# 0.3.31, products match one product over all columns only for a width
-# that is a multiple of 4.  Each block is 2**11 columns or the whole state,
-# so the blocking keeps the bits; `support_gate` pads its block of gathered
-# columns to whole 4-column tiles for the same reason, or takes the whole
-# state's width where that is below 4 columns.
+# A gate runs over blocks of 2**GATHER_BLOCK_BITS columns (the leading
+# other bits fixed), so it holds at most two block-sized temporaries; a
+# state of up to k + 11 bits is one block.  A column's zgemm bits can
+# depend on the block width: on OpenBLAS 0.3.31, products match one
+# product over all columns only for a width that is a multiple of 4.
+# Each block is 2**11 columns or the whole state, so the blocking keeps
+# the bits; `support_gate` pads its block of gathered columns to whole
+# 4-column tiles for the same reason, or takes the whole state's width
+# where that is below 4 columns.
 GATHER_BLOCK_BITS = 11
 
 
@@ -61,21 +61,6 @@ def as_permutation(matrix: np.ndarray) -> np.ndarray | None:
     return np.argmax(m.real, axis=0)
 
 
-def _cycles(perm: np.ndarray) -> list[list[int]]:
-    seen, cycles = set(), []
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        cyc, j = [], start
-        while j not in seen:
-            seen.add(j)
-            cyc.append(j)
-            j = int(perm[j])
-        if len(cyc) > 1:
-            cycles.append(cyc)
-    return cycles
-
-
 def read_bits(index, bits: tuple[int, ...]):
     """The integer read MSB-first off the given bits of a flat index (an
     int, or elementwise an int64 array; zeros of its shape for no bits)."""
@@ -96,8 +81,8 @@ def _write_bits(index, bits: tuple[int, ...], value):
 
 def flip_table(bits: tuple[int, ...], matrix: np.ndarray) -> tuple[int, ...] | None:
     """For a 0/1 permutation matrix P on the bits, flips[p]: the flat-index
-    XOR that moves target pattern p to where apply_permutation_inplace
-    sends it, pattern P[p].  None for any other matrix."""
+    XOR that moves target pattern p to where apply_matrix_inplace sends
+    it, pattern P[p].  None for any other matrix."""
     perm = as_permutation(matrix)
     if perm is None:
         return None
@@ -105,39 +90,31 @@ def flip_table(bits: tuple[int, ...], matrix: np.ndarray) -> tuple[int, ...] | N
     return tuple(offsets[p] ^ offsets[int(q)] for p, q in enumerate(perm))
 
 
-def apply_permutation_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
-                              perm: np.ndarray) -> None:
-    """Relabel target-bit patterns: new[perm[l]] = old[l], slicewise."""
-    view = _target_view(amps, nbits, bits)
-    local = (2,) * len(bits)
-    for cyc in _cycles(perm):
-        # new[c1] = old[c0], new[c2] = old[c1], ...: shift backwards with one temp
-        views = [view[np.unravel_index(c, local) + (...,)] for c in cyc]
-        tmp = views[-1].copy()
-        for j in range(len(cyc) - 1, 0, -1):
-            views[j][...] = views[j - 1]
-        views[0][...] = tmp
-
-
 def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
                          matrix: np.ndarray) -> None:
-    """Apply a 2**k x 2**k unitary to the given k index bits, in place: a
-    0/1 permutation by the permutation kernel, any other matrix by one
-    blocked product.
+    """Apply a 2**k x 2**k unitary to the given k index bits, in place, one
+    block of columns at a time: a 0/1 permutation P by moving each pattern
+    row l that P moves to row P[l], any other matrix by the block's
+    product with it.
 
     bits[0] is the most significant bit of the gate's local basis, matching
     the composite-state encoding |e(g_0), e(g_1), ...>.
     """
-    perm = as_permutation(matrix)
-    if perm is not None:
-        apply_permutation_inplace(amps, nbits, bits, perm)
-        return
     k = len(bits)
     view = _target_view(amps, nbits, bits)
+    perm = as_permutation(matrix)
+    if perm is not None:
+        # the rows that move, row l to row P[l], each as its k axis indices
+        moved = [l for l in range(1 << k) if perm[l] != l]
+        src, dst = (tuple(np.array([(l >> (k - 1 - j)) & 1 for l in rows], dtype=np.intp)
+                          for j in range(k)) for rows in (moved, [int(perm[l]) for l in moved]))
     # rows are local patterns, columns the other bits in flat order
     for lead in np.ndindex((2,) * max(0, nbits - k - GATHER_BLOCK_BITS)):
         block = view[(slice(None),) * k + lead]
-        block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
+        if perm is None:
+            block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
+        else:
+            block[dst] = block[src]
 
 
 def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.ndarray:

@@ -33,7 +33,7 @@ from a basis state, and no dense gate's product wrote -0.0 (OpenBLAS 0.3.31).
 round under g from a state that carries no word where f and g differ
 equals the round under f in that same sense, so a caller may reuse it.
 The total qubit count is capped (default 24, about 16M amplitudes);
-QQLAB_QUBIT_CAP overrides.
+QQLAB_QUBIT_CAP overrides it with any integer of at least 2.
 """
 
 from __future__ import annotations
@@ -67,9 +67,13 @@ def qubit_cap() -> int:
     if raw is None:
         return DEFAULT_QUBIT_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        raise InputError(f"QQLAB_QUBIT_CAP must be an integer, got {raw!r}") from None
+        cap = 0
+    # the smallest layout, n = 1 with no working qubits, has 2 qubits
+    if cap < 2:
+        raise InputError(f"QQLAB_QUBIT_CAP must be an integer of at least 2, got {raw!r}")
+    return cap
 
 
 @dataclass(frozen=True)

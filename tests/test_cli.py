@@ -29,6 +29,20 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "qqlab" in out and "qubit cap" in out
 
+    @pytest.mark.parametrize("cap", ["abc", "-3", "0", "1"])
+    def test_bad_qubit_cap_prints_only_its_error(self, monkeypatch, capsys, cap):
+        # every layout has at least 2 qubits (n = 1, no working qubits)
+        monkeypatch.setenv("QQLAB_QUBIT_CAP", cap)
+        assert cli_main(["info"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_smallest_qubit_cap_runs_the_smallest_layout(self, monkeypatch, capsys):
+        monkeypatch.setenv("QQLAB_QUBIT_CAP", "2")
+        assert cli_main(["info"]) == 0
+        assert "qubit cap: 2 " in capsys.readouterr().out
+        assert cli_main(["lemma1", "--n", "1", "--tau-work", "0", "--trials", "1"]) == 0
+
 
 class TestIterate:
     def test_prints_result(self, tmp_path, capsys):
