@@ -50,15 +50,14 @@ def _target_view(amps: np.ndarray, nbits: int, bits: tuple[int, ...]) -> np.ndar
 
 def as_permutation(matrix: np.ndarray) -> np.ndarray | None:
     """Return P with matrix[P[j], j] = 1 if the matrix is an exact 0/1 permutation."""
-    m = matrix
     # every permutation matrix starts with 0 or 1: most dense gates stop here
-    if m[0, 0] != 0 and m[0, 0] != 1:
+    if matrix[0, 0] != 0 and matrix[0, 0] != 1:
         return None
-    if not np.all((m == 0) | (m == 1)):
+    if not np.all((matrix == 0) | (matrix == 1)):
         return None
-    if not (np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1)):
+    if not (np.all(matrix.sum(axis=0) == 1) and np.all(matrix.sum(axis=1) == 1)):
         return None
-    return np.argmax(m.real, axis=0)
+    return np.argmax(matrix.real, axis=0)
 
 
 def read_bits(index, bits: tuple[int, ...]):
@@ -104,10 +103,12 @@ def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
     view = _target_view(amps, nbits, bits)
     perm = as_permutation(matrix)
     if perm is not None:
-        # the rows that move, row l to row P[l], each as its k axis indices
+        # row l moves to row P[l], one index array per target axis; from lists,
+        # as np.unravel_index leaves a small buffer in numpy's cache after a call
         moved = [l for l in range(1 << k) if perm[l] != l]
-        src, dst = (tuple(np.array([(l >> (k - 1 - j)) & 1 for l in rows], dtype=np.intp)
-                          for j in range(k)) for rows in (moved, [int(perm[l]) for l in moved]))
+        axis = [[(l >> (k - 1 - j)) & 1 for l in range(1 << k)] for j in range(k)]
+        src = tuple(np.array([a[l] for l in moved], dtype=np.intp) for a in axis)
+        dst = tuple(np.array([a[perm[l]] for l in moved], dtype=np.intp) for a in axis)
     # rows are local patterns, columns the other bits in flat order
     for lead in np.ndindex((2,) * max(0, nbits - k - GATHER_BLOCK_BITS)):
         block = view[(slice(None),) * k + lead]
