@@ -6,7 +6,9 @@ function giving trial i's inequality rows and a small outcome, plus a
 function turning the outcomes into its aggregates.  Trials are sequential
 and each derives its generators from (master seed, stream, trial index),
 so a report is byte-reproducible from its config alone; wall time goes
-only into the JSON.  Both report types write a flat CSV (schema frozen
+only into the JSON.  The census and montecarlo kinds step the oracles that
+agree on the words a state carries together (`_success_walk`), with each
+oracle's own bits.  Both report types write a flat CSV (schema frozen
 below) and a nested JSON beside it through one `write`, which refuses a
 CSV path ending in .json; `validate` refuses one before any trial runs.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import time
@@ -27,11 +30,11 @@ import numpy as np
 
 from .analysis import (TOL, GapReport, _alpha_threshold, adversary_bound_report,
                        build_hard_oracle, lemma1_check, lemma2_check, pigeonhole_mutation_check)
-from .errors import CapExceededError, ConfigError, InputError
+from .errors import CapExceededError, ConfigError, InputError, WidthMismatchError
 from .oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
-from .programs import (QueryProgram, classical_emulation_program, random_program,
-                       success_probability, truncate_after_query)
-from .qsim import QubitLayout, StateVector, x_gate
+from .programs import (QueryProgram, classical_emulation_program, initial_state,
+                       output_distribution, random_program, truncate_after_query)
+from .qsim import QubitLayout, StateVector, apply_round, occupied_words, x_gate
 from .rng import generator
 
 CSV_SCHEMA = "context,lhs,rhs,slack,vacuous,checked,seed"
@@ -51,6 +54,7 @@ KIND_FIELDS = {
 KINDS = tuple(KIND_FIELDS)
 FAMILIES = ("classical-emulation", "truncated-emulation", "random", "concentrated")
 DEFAULT_THRESHOLD = 2.0 / 3.0
+_WALK_CHUNK = 1 << 12  # the success walk's oracles at a time: a census never holds 2**24
 
 
 def wilson_interval(successes: int, trials: int):
@@ -391,11 +395,37 @@ def run_pigeonhole_trials(cfg: ExperimentConfig) -> ExperimentReport:
     return _sweep(cfg, trial, aggregates)
 
 
-def _orbit_success(prog: QueryProgram, f, T: int) -> float:
-    """Success probability of prog on oracle f from the all-zero input, the
-    target being the T-th orbit word of that input."""
-    zero = BitWord.zero(f.width)
-    return success_probability(prog, f, zero, iterate(f, zero, T))
+def _success_walk(prog: QueryProgram, oracles, T: int):
+    """`success_probability` of prog on each oracle of an iterator in turn, from
+    the all-zero input to the T-th orbit word of that input, bit for bit: a
+    depth-first walk over each _WALK_CHUNK oracles steps those that agree on every
+    word a state carries (`occupied_words`) together, holding at most t + 1 states."""
+    n, zero = prog.layout.query_width, BitWord.zero(prog.layout.query_width)
+    if len(prog.output_region) != n:  # each target is a word of the query width
+        raise WidthMismatchError(f"output region size {len(prog.output_region)} != {n}")
+    root = apply_round(initial_state(prog.layout, zero), None, prog.blocks[0])
+    while chunk := list(itertools.islice(oracles, _WALK_CHUNK)):
+        table = np.stack([f.values for f in chunk])
+        targets = np.array([iterate(f, zero, T).value for f in chunk])
+        out, path = np.empty(len(chunk)), []  # path: (state, its children's oracle groups)
+
+        def visit(state, members):
+            if len(path) == prog.query_count:
+                out[members] = output_distribution(prog, state)[targets[members]]
+                return
+            groups = {}
+            for j, key in zip(members, map(bytes, table[members][:, occupied_words(state)])):
+                groups.setdefault(key, []).append(j)
+            path.append((state, iter(groups.values())))
+
+        visit(root, range(len(chunk)))
+        while path:  # step the top state's next oracle group, or leave it when none is left
+            members = next(path[-1][1], None)
+            if members is None:
+                path.pop()
+            else:
+                visit(apply_round(path[-1][0], chunk[members[0]], prog.blocks[len(path)]), members)
+        yield from out.tolist()
 
 
 def run_montecarlo_trials(cfg: ExperimentConfig) -> ExperimentReport:
@@ -408,9 +438,11 @@ def run_montecarlo_trials(cfg: ExperimentConfig) -> ExperimentReport:
     prog = build_program(cfg.family, cfg.n, cfg.T, cfg.t, cfg.tau_work,
                          generator(cfg.seed, "montecarlo-prog", 0))
 
+    probs = _success_walk(prog, (sample_uniform_oracle(cfg.n, generator(cfg.seed, "montecarlo", i))
+                                 for i in range(cfg.trials)), cfg.T)
+
     def trial(i):
-        f = sample_uniform_oracle(cfg.n, generator(cfg.seed, "montecarlo", i))
-        p = _orbit_success(prog, f, cfg.T)
+        p = next(probs)  # trial i's, as _sweep runs the trials in order
         ok = p >= cfg.success_threshold
         return [GapReport(f"success_prob[trial={i}]", p, cfg.success_threshold,
                           checked=False, extra={"success": ok})], ok
@@ -467,7 +499,7 @@ def exact_census(family, n: int, T: int, t: int | None = None,
         prog, family_name = family, "custom"
     else:
         prog, family_name = build_program(family, n, T, t, 0, 0), family
-    probs = [_orbit_success(prog, f, T) for f in all_oracles(n)]
+    probs = list(_success_walk(prog, all_oracles(n), T))
     return CensusReport(n, prog.query_count, T, family_name, threshold,
                         2 ** (n * 2 ** n), probs)
 

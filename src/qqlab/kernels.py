@@ -21,7 +21,7 @@ by its `flip_table`, one flat-index XOR per target pattern, exactly as
 `support_gate` step a support as `apply_query` and `apply_matrix_inplace`
 step the full array, a dense gate through the same product, so every
 nonzero amplitude gets the same bits.
-Flat-index target bits are read by `read_bits`, written by `_write_bits`.
+Target bits are read by `read_bits` or matched against `_offsets`, which writes them.
 """
 
 from __future__ import annotations
@@ -44,8 +44,8 @@ def _target_view(amps: np.ndarray, nbits: int, bits: tuple[int, ...]) -> np.ndar
     # reshape((2,)*nbits) puts the most significant index bit on axis 0;
     # view[l_0, ..., l_{k-1}, ...] holds the amplitudes whose targets read
     # l_0 ... l_{k-1}, a writable view even when every bit is a target
-    return np.moveaxis(amps.reshape((2,) * nbits), [nbits - 1 - b for b in bits],
-                       range(len(bits)))
+    axes = [nbits - 1 - b for b in bits]
+    return amps.reshape((2,) * nbits).transpose(axes + [a for a in range(nbits) if a not in axes])
 
 
 def as_permutation(matrix: np.ndarray) -> np.ndarray | None:
@@ -69,13 +69,11 @@ def read_bits(index, bits: tuple[int, ...]):
     return value
 
 
-def _write_bits(index, bits: tuple[int, ...], value):
-    """Each index with `value` written MSB-first onto the given bits (an
-    int, or broadcast over int64 arrays)."""
-    for b in reversed(bits):
-        index = (index & ~(1 << b)) | ((value & 1) << b)
-        value = value >> 1
-    return index
+def _offsets(bits: tuple[int, ...]) -> np.ndarray:
+    """offsets[p]: target pattern p written MSB-first onto the given bits of
+    a flat index that is 0 elsewhere (int64, length 2**k)."""
+    k = len(bits)  # row p: p's bits MSB-first, times each target bit's weight
+    return (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1) @ (1 << np.array(bits))
 
 
 def flip_table(bits: tuple[int, ...], matrix: np.ndarray) -> tuple[int, ...] | None:
@@ -85,8 +83,8 @@ def flip_table(bits: tuple[int, ...], matrix: np.ndarray) -> tuple[int, ...] | N
     perm = as_permutation(matrix)
     if perm is None:
         return None
-    offsets = [_write_bits(0, bits, p) for p in range(len(perm))]
-    return tuple(offsets[p] ^ offsets[int(q)] for p, q in enumerate(perm))
+    offsets = _offsets(bits)
+    return tuple((offsets ^ offsets[perm]).tolist())
 
 
 def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
@@ -161,17 +159,21 @@ def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
     amplitude that comes out exactly 0 is dropped; the full array holds it
     as +0.0, as the product wrote every zero on OpenBLAS 0.3.31.
     """
-    pattern = read_bits(idx, bits)
+    offsets = _offsets(bits)
+    mask = int(offsets[-1])  # every target bit set
+    pattern = np.argsort(offsets)[np.searchsorted(np.sort(offsets), idx & mask)]
     if flips is not None:
         return _sorted(idx ^ np.array(flips, dtype=np.int64)[pattern], vals)
     k = len(bits)
-    groups, column = np.unique(_write_bits(idx, bits, 0), return_inverse=True)
+    rest = idx & ~mask
+    ordered = np.sort(rest)
+    groups = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     m = len(groups)
     # whole 4-column tiles, or the dense product's width (GATHER_BLOCK_BITS)
     block = np.zeros((1 << k, min(-(-m // 4) * 4, 1 << (nbits - k))), dtype=np.complex128)
-    block[pattern, column] = vals
+    block[pattern, np.searchsorted(groups, rest)] = vals
     block = matrix @ block
-    new = _write_bits(groups, bits, np.arange(1 << k, dtype=np.int64)[:, None]).ravel()
+    new = (offsets[:, None] | groups).ravel()
     out = block[:, :m].ravel()
     keep = out != 0
     return _sorted(new[keep], out[keep])

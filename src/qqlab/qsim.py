@@ -406,6 +406,9 @@ def query_mass(vector: StateVector, a: BitWord) -> float:
     n = vector.layout.query_width
     if a.width != n:
         raise WidthMismatchError(f"word width {a.width} != query width {n}")
+    if vector.index is None and vector._support is None:  # dense: read the word's column
+        column = vector.amplitudes[a.value::1 << n]  # and add its squares in row order
+        return float(np.cumsum(column.real ** 2 + column.imag ** 2)[-1])
     return float(query_masses(vector)[a.value])
 
 

@@ -1,13 +1,17 @@
 import json
 
+import numpy as np
 import pytest
 
-from qqlab import kernels
+from qqlab import harness, kernels
 from qqlab.errors import CapExceededError, ConfigError, InputError
-from qqlab.harness import (CSV_SCHEMA, ExperimentConfig, ExperimentReport,
+from qqlab.harness import (CSV_SCHEMA, FAMILIES, ExperimentConfig, ExperimentReport,
                            adversary_success_rate, build_program, exact_census,
                            monte_carlo, wilson_interval)
-from qqlab.oracles import BitWord, all_oracles, iterate
+from qqlab.oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
+from qqlab.programs import success_probability
+from qqlab.qsim import StateVector
+from qqlab.rng import generator
 
 
 def cfg(**kw):
@@ -323,3 +327,95 @@ def test_census_finds_gate_permutations_once(monkeypatch):
     gates = len(list(build_program("classical-emulation", 2, 3, None, 0, 0).all_gates()))
     assert rep.total_oracles == 256
     assert 0 < len(calls) <= gates
+
+
+def per_oracle(prog, oracles, T):
+    """Each oracle's success probability from its own run, as the walk's reference."""
+    zero = BitWord.zero(prog.layout.query_width)
+    return [success_probability(prog, f, zero, iterate(f, zero, T)) for f in oracles]
+
+
+class TestSuccessWalk:
+    """census and montecarlo step the oracles that agree on the words a state
+    carries together; each oracle still gets its own run's bits."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n,T", [(1, 2), (2, 3)])
+    def test_census_equals_per_oracle_runs_byte_for_byte(self, family, n, T):
+        prog = build_program(family, n, T, None, 0, 0)
+        want = np.array(per_oracle(prog, all_oracles(n), T))
+        assert np.array(exact_census(family, n, T).probabilities).tobytes() == want.tobytes()
+
+    def test_chunks_give_the_same_bytes(self, monkeypatch):
+        want = exact_census("random", 2, 3).probabilities
+        monkeypatch.setattr(harness, "_WALK_CHUNK", 7)
+        assert np.array(exact_census("random", 2, 3).probabilities).tobytes() == \
+            np.array(want).tobytes()
+
+    def test_random_montecarlo_rows_equal_per_trial_runs(self):
+        c = cfg(kind="montecarlo", family="random", n=2, T=3, tau_work=2, trials=60, seed=21)
+        prog = build_program(c.family, c.n, c.T, c.t, c.tau_work,
+                             generator(c.seed, "montecarlo-prog", 0))
+        oracles = [sample_uniform_oracle(c.n, generator(c.seed, "montecarlo", i))
+                   for i in range(c.trials)]
+        rows = monte_carlo(c).rows
+        for i, p in enumerate(per_oracle(prog, oracles, c.T)):
+            assert rows[i] == {"context": f"success_prob[trial={i}]", "lhs": p,
+                               "rhs": c.success_threshold, "slack": c.success_threshold - p,
+                               "vacuous": False, "checked": False, "seed": f"21/montecarlo/{i}",
+                               "success": p >= c.success_threshold}
+            assert np.float64(rows[i]["lhs"]).tobytes() == np.float64(p).tobytes()
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_the_walk_holds_at_most_t_plus_one_states(self, family, monkeypatch):
+        live, most = [0], [0]
+
+        class Counted(StateVector):
+            __slots__ = ()
+
+            def __del__(self):
+                live[0] -= 1
+
+        def counted(state, f, block, real=harness.apply_round):
+            out = real(state, f, block)
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+            return Counted._of(out.layout, out.index, out._support, out._amplitudes)
+
+        monkeypatch.setattr(harness, "apply_round", counted)
+        rep = exact_census(family, 2, 3)
+        assert most[0] == rep.t + 1 and live[0] == 0
+
+    def test_census_of_classical_emulation_steps_49_rounds(self, monkeypatch):
+        # 256 oracles at one round per block each would step 1,024
+        calls = []
+
+        def counted(*args, real=harness.apply_round):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(harness, "apply_round", counted)
+        assert exact_census("classical-emulation", 2, 3).failing_fraction == 0.0
+        assert len(calls) == 49
+
+    def test_large_census_draws_its_oracles_a_chunk_at_a_time(self, monkeypatch):
+        drawn = []
+
+        def counted(n, real=harness.all_oracles):
+            for f in real(n):
+                drawn.append(1)
+                yield f
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args):
+            raise Stop
+
+        monkeypatch.setattr(harness, "all_oracles", counted)
+        monkeypatch.setattr(harness, "_WALK_CHUNK", 64)
+        monkeypatch.setattr(harness, "output_distribution", stop)
+        # n = 3 has 2**24 oracles; the first final state is read after one chunk
+        with pytest.raises(Stop):
+            exact_census("classical-emulation", 3, 2, allow_large=True)
+        assert len(drawn) == 64

@@ -149,7 +149,7 @@ def random_support(nbits, bits, m, rng):
     held = rng.random((m, 1 << k)) < rng.random()
     held[np.arange(m), rng.integers(0, 1 << k, size=m)] = True
     held[0] = True
-    idx = np.sort(kernels._write_bits(base[:, None], bits, np.arange(1 << k)[None, :])[held])
+    idx = np.sort((base[:, None] | kernels._offsets(bits)[None, :])[held])
     return idx, rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
 
 
@@ -174,6 +174,34 @@ def test_support_gate_matches_the_dense_gate_byte_for_byte(placement, k):
             got_idx, got_vals = kernels.support_gate(idx, vals, bits, u, nbits)
             assert np.array_equal(got_idx, np.flatnonzero(amps)), (nbits, bits, m)
             assert got_vals.tobytes() == amps[got_idx].tobytes(), (nbits, bits, m)
+
+
+@pytest.mark.parametrize("kind", ["haar", "monomial", "permutation"])
+def test_support_gate_matches_the_dense_gate_on_random_supports(kind):
+    # 1-4 targets on 2-18 qubits, 1-600 entries anywhere in the state; a
+    # 0/1 permutation steps through its flip table
+    rng = generator(41, f"support-gate-random-{kind}")
+    for trial in range(40):
+        k = trial % 4 + 1
+        nbits = int(rng.integers(max(k, 2), 19))
+        bits = pick_bits(nbits, k, rng)
+        if kind == "haar":
+            u = haar_unitary(1 << k, rng)
+        elif kind == "monomial":
+            u = monomial_unitary(1 << k, rng)
+        else:
+            u = np.eye(1 << k, dtype=np.complex128)[:, rng.permutation(1 << k)]
+        size = int(rng.integers(1, min(600, 1 << nbits) + 1))
+        idx = np.sort(rng.choice(1 << nbits, size=size, replace=False)).astype(np.int64)
+        vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        amps = np.zeros(1 << nbits, dtype=np.complex128)
+        amps[idx] = vals
+        kernels.apply_matrix_inplace(amps, nbits, bits, u)
+        flips = kernels.flip_table(bits, u)
+        assert (flips is None) == (kind != "permutation")
+        got_idx, got_vals = kernels.support_gate(idx, vals, bits, u, nbits, flips)
+        assert np.array_equal(got_idx, np.flatnonzero(amps)), (nbits, bits, size)
+        assert got_vals.tobytes() == amps[got_idx].tobytes(), (nbits, bits, size)
 
 
 @pytest.mark.parametrize("placement", PLACEMENTS)

@@ -276,6 +276,36 @@ class TestQueryMass:
         total = sum(query_mass(v, BitWord(2, a)) for a in range(4))
         assert total == pytest.approx(v.norm ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dense_mass_of_one_word_is_its_query_masses_entry(self, n):
+        # random dense states and their differences, some entries cancelling
+        rng = generator(9, "mass-column", n)
+        for tau in sorted({0, 1, 18 - 2 * n}):
+            lay = QubitLayout(tau, n)
+            s1, s2 = random_state(lay, rng), random_state(lay, rng)
+            shared = s2.amplitudes.copy()
+            keep = rng.random(lay.dim) < 0.5
+            shared[keep] = s1.amplitudes[keep]
+            for v in (s1, StateVector(lay, s1.amplitudes - s2.amplitudes),
+                      StateVector(lay, s1.amplitudes - shared)):
+                masses = query_masses(v)
+                for a in range(1 << n):
+                    got = np.float64(query_mass(v, BitWord(n, a)))
+                    assert got.tobytes() == masses[a].tobytes(), (n, tau, a)
+
+    def test_dense_mass_of_one_word_holds_less_than_a_state(self):
+        # 18 qubits, n = 3: the word's column is an eighth of the state
+        lay = QubitLayout(12, 3)
+        v = random_state(lay, generator(9, "mass-column-memory", 0))
+        query_mass(v, BitWord(3, 5))
+        tracemalloc.start()
+        try:
+            query_mass(v, BitWord(3, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < v.amplitudes.nbytes / 2, peak
+
 
 class TestOracleDistance:
     def test_equal_oracles(self):
