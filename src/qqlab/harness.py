@@ -11,6 +11,9 @@ agree on the words a state carries together (`_success_walk`), with each
 oracle's own bits.  Both report types write a flat CSV (schema frozen
 below) and a nested JSON beside it through one `write`, which refuses a
 CSV path ending in .json; `validate` refuses one before any trial runs.
+Report numbers are plain Python ints and floats: `validate` and
+`exact_census` turn numpy's into them where they enter, and every runner
+takes a validated config, so both JSON files are plain `json.dumps`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -105,6 +109,8 @@ class ExperimentConfig:
             # bool is an Integral, so a JSON true would otherwise pass as 1
             if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
                 raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+            if isinstance(value, Real) and not isinstance(value, bool):  # numpy's made plain
+                setattr(self, name, int(value) if isinstance(value, Integral) else float(value))
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.trials < 1:
@@ -249,19 +255,7 @@ class ExperimentReport(_ReportFiles):
             "aggregates": self.aggregates,
             "wall_time_s": self.wall_time,
             "rows": self.rows,
-        }, indent=1, default=_json_default)
-
-
-def _json_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
+        }, indent=1)
 
 
 def _row(report: GapReport, seed_tag: str) -> dict:
@@ -493,6 +487,8 @@ def exact_census(family, n: int, T: int, t: int | None = None,
     The target for oracle f is the T-th orbit word of the all-zero input.
     Gated to n <= 2 (256 oracles; n = 3 has 2**24) unless allow_large is set.
     """
+    n, T, threshold = operator.index(n), operator.index(T), float(threshold)
+    t = None if t is None else operator.index(t)
     if n > 2 and not allow_large:
         raise CapExceededError(f"census over 2**{n * 2 ** n} oracles needs allow_large=True")
     if isinstance(family, QueryProgram):

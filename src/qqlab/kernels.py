@@ -21,7 +21,10 @@ by its `flip_table`, one flat-index XOR per target pattern, exactly as
 `support_gate` step a support as `apply_query` and `apply_matrix_inplace`
 step the full array, a dense gate through the same product, so every
 nonzero amplitude gets the same bits.
-Target bits are read by `read_bits` or matched against `_offsets`, which writes them.
+
+Each form reads target bits by one rule: an index or a support's indices
+by `read_bits`, a dense array through `_target_view`.  `_offsets` only
+writes patterns (flip tables, and a dense gate's new support indices).
 """
 
 from __future__ import annotations
@@ -150,22 +153,21 @@ def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
     their nonzero amplitudes) of a state of nbits bits, for a gate on 1-4
     of the bits; returns fresh arrays in the same form.
 
-    A 0/1 permutation, given by its `flip_table`, XORs each index with the
-    flips of its target pattern.  For a dense gate the indices are grouped
-    by their bits off the targets, and each group is scattered into one
-    column of a (2**k, groups) block, absent entries 0; the block's product
-    with the matrix then computes each amplitude from the same operands in
-    the same order as the dense kernel's product on the full array.  An
-    amplitude that comes out exactly 0 is dropped; the full array holds it
-    as +0.0, as the product wrote every zero on OpenBLAS 0.3.31.
+    Each index's target pattern is read by `read_bits`.  A 0/1 permutation,
+    given by its `flip_table`, XORs each index with the flips of its
+    pattern.  For a dense gate the indices are grouped by their bits off
+    the targets, and each group is scattered into one column of a
+    (2**k, groups) block, absent entries 0; the block's product with the
+    matrix then computes each amplitude from the same operands in the same
+    order as the dense kernel's product on the full array.  An amplitude
+    that comes out exactly 0 is dropped; the full array holds it as +0.0,
+    as the product wrote every zero on OpenBLAS 0.3.31.
     """
-    offsets = _offsets(bits)
-    mask = int(offsets[-1])  # every target bit set
-    pattern = np.argsort(offsets)[np.searchsorted(np.sort(offsets), idx & mask)]
+    pattern = read_bits(idx, bits)
     if flips is not None:
         return _sorted(idx ^ np.array(flips, dtype=np.int64)[pattern], vals)
-    k = len(bits)
-    rest = idx & ~mask
+    k, offsets = len(bits), _offsets(bits)
+    rest = idx & ~int(offsets[-1])  # offsets[-1]: every target bit set
     ordered = np.sort(rest)
     groups = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     m = len(groups)
@@ -189,16 +191,15 @@ def address_masses(amps: np.ndarray, n: int, scratch: bool = False) -> np.ndarra
 
 
 def value_distribution(amps: np.ndarray, nbits: int, bits: tuple[int, ...]) -> np.ndarray:
-    """Probability of each value read off the given bits (length 2**k)."""
-    k = len(bits)
-    # the value of every index, as a sum of per-axis bit weights broadcast
-    # over the (2,)*nbits view; bincount adds in flat index order, which a
-    # reshape-and-sum over the other axes would not
-    labels = np.zeros((1,) * nbits, dtype=np.intp)
-    for j, b in enumerate(bits):
-        shape = [1] * nbits
-        shape[nbits - 1 - b] = 2
-        labels = labels + np.array([0, 1 << (k - 1 - j)], dtype=np.intp).reshape(shape)
+    """Probability of each value read off the given bits (length 2**k): the
+    squares of the `_target_view` with the read bits moved last, copied to
+    C order, summed over rows, so each value's squares add in flat index
+    order, as a `read_bits` bincount over a support's ascending indices."""
     p = amps.real ** 2 + amps.imag ** 2
-    return np.bincount(np.broadcast_to(labels, (2,) * nbits).ravel(), weights=p,
-                       minlength=1 << k)
+    if not bits:  # numpy would sum the one column pairwise
+        return np.cumsum(p, out=p)[-1:].copy()
+    k = len(bits)
+    # the copy: a reshape of the moved view can come back column-major,
+    # which numpy would sum pairwise too
+    rows = np.ascontiguousarray(np.moveaxis(_target_view(p, nbits, bits), range(k), range(-k, 0)))
+    return rows.reshape(-1, 1 << k).sum(axis=0)

@@ -352,6 +352,19 @@ class TestExitOnViolation:
         assert _print_summary(report) == 1
         assert "VIOLATION" in capsys.readouterr().err
 
+    def test_a_failed_identity_exits_one_with_one_check_line(self, monkeypatch, capsys):
+        # a runner raising QqlabError, as the hybrid chain's identity check
+        # does, is a failed check: status 1 and one `check failed:` line
+        from qqlab import harness
+        from qqlab.errors import QqlabError
+
+        def failing(cfg):
+            raise QqlabError("hybrid chain failed: 2.0 > 1.0")
+        monkeypatch.setitem(harness._RUNNERS, "lemma1", failing)
+        assert cli_main(["lemma1", "--trials", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["check failed: hybrid chain failed: 2.0 > 1.0"]
+
     def test_unchecked_rows_do_not_fail_the_run(self):
         from qqlab.cli import _print_summary
         from qqlab.harness import ExperimentConfig, ExperimentReport

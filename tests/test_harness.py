@@ -123,6 +123,9 @@ class TestWilson:
         assert wilson_interval(0, 10)[0] == 0.0
         assert wilson_interval(10, 10)[1] == 1.0
 
+    def test_no_trials_give_the_whole_interval(self):
+        assert wilson_interval(0, 0) == (0.0, 1.0)
+
     def test_symmetric_center(self):
         low, high = wilson_interval(50, 100)
         assert low == pytest.approx(0.4038, abs=2e-3)
@@ -173,6 +176,21 @@ class TestSweeps:
     def test_lemma2_sweep_clean(self):
         rep = monte_carlo(cfg(kind="lemma2", n=2, tau_work=3, t=4, trials=30, seed=4))
         assert rep.aggregates["violations"] == 0
+
+    @pytest.mark.parametrize("tau_work,zero_only", [(1, True), (3, False)])
+    def test_lemma2_input_is_zero_without_room_for_a_word(self, tau_work, zero_only,
+                                                          monkeypatch):
+        # fewer working qubits than n cannot hold an input word: every trial
+        # runs on the all-zero input, and with room some trial does not
+        inputs, check = [], harness.lemma2_check
+
+        def recorded(prog, f, a, y, x, context):
+            inputs.append(x)
+            return check(prog, f, a, y, x, context=context)
+        monkeypatch.setattr(harness, "lemma2_check", recorded)
+        rep = monte_carlo(cfg(kind="lemma2", n=3, tau_work=tau_work, t=3, trials=12, seed=8))
+        assert rep.aggregates["violations"] == 0 and len(inputs) == 12
+        assert all(x == BitWord.zero(3) for x in inputs) == zero_only
 
     def test_adversary_sweep(self):
         rep = monte_carlo(cfg(kind="adversary", family="random", n=5, T=2,
@@ -249,6 +267,46 @@ class TestCensus:
         with pytest.raises(InputError, match="json"):  # its own JSON sibling
             rep.write(tmp_path / "other.json")
         assert not (tmp_path / "other.json").exists()
+
+
+class TestReportNumbers:
+    """numpy numbers enter as plain ints and floats, so every report's JSON
+    is written by plain json.dumps."""
+
+    def test_census_of_numpy_sizes_writes_both_files(self, tmp_path):
+        exact_census("classical-emulation", 2, 3).write(tmp_path / "plain.csv")
+        rep = exact_census("classical-emulation", np.int64(2), np.int64(3))
+        rep.write(tmp_path / "numpy.csv")
+        for suffix in (".csv", ".json"):
+            assert (tmp_path / f"numpy{suffix}").read_bytes() == \
+                (tmp_path / f"plain{suffix}").read_bytes()
+        payload = json.loads((tmp_path / "numpy.json").read_text())
+        assert type(payload["n"]) is int and type(payload["T"]) is int
+
+    @pytest.mark.parametrize("kind,fields", [
+        ("lemma1", {"n": 2, "tau_work": 1, "trials": 2, "seed": 3}),
+        ("lemma2", {"n": 2, "tau_work": 2, "t": 2, "trials": 2, "seed": 3}),
+        ("adversary", {"family": "random", "n": 2, "tau_work": 1, "T": 2, "epsilon": 1.5,
+                       "trials": 2, "seed": 3}),
+        ("pigeonhole", {"family": "random", "n": 2, "tau_work": 1, "T": 4, "t": 1,
+                        "trials": 2, "seed": 3}),
+        ("montecarlo", {"family": "random", "n": 2, "tau_work": 1, "T": 3, "t": 2,
+                        "success_threshold": 0.25, "trials": 4, "seed": 3}),
+    ])
+    def test_sweeps_from_numpy_config_values_write_plain_numbers(self, kind, fields,
+                                                                 tmp_path):
+        numpy_fields = {k: np.float32(v) if isinstance(v, float) else
+                        np.int64(v) if isinstance(v, int) else v for k, v in fields.items()}
+        runs = {}
+        for name, values in (("numpy", numpy_fields), ("plain", fields)):
+            out = tmp_path / f"{name}.csv"
+            rep = monte_carlo(ExperimentConfig(kind=kind, output_path=str(out), **values))
+            config = json.loads(out.with_suffix(".json").read_text())["config"]
+            for key, value in fields.items():
+                assert type(getattr(rep.config, key)) is type(value), key
+                assert type(config[key]) is type(value) and config[key] == value, key
+            runs[name] = out.read_bytes()
+        assert runs["numpy"] == runs["plain"]
 
 
 class TestMonteCarloRates:

@@ -15,6 +15,7 @@ RUNS = {
     "inequality_sweeps.py": ["--trials", "5"],
     "adversary_grid.py": ["--trials", "1", "--widths", "2", "--iterations", "2"],
     "census_vs_montecarlo.py": ["--trials", "50"],
+    "line_count.py": [],
 }
 
 
