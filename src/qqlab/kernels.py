@@ -8,10 +8,13 @@ Gates are applied in place on a caller-owned buffer, all addressed
 through one view: the (2,)*nbits reshape with the target axes moved to
 the front, bits[0] first, indexed by local pattern.  Every gate of 1-4
 targets runs one loop over blocks of that view, at most
-2**GATHER_BLOCK_BITS columns each: a 0/1 permutation (X, CNOT, Toffoli,
-...) moves the block's pattern rows that it moves, and any other gate is
-one matrix product over the target axes.  No kernel keeps anything
-between calls, and no gate holds more than two blocks at once.
+2**GATHER_BLOCK_BITS columns each: a 0/1 permutation moves the block's
+pattern rows that it moves, any other gate is one matrix product.  The
+square sums (`address_masses`: the n low bits; `value_distribution`)
+walk it with the read bits last, in blocks of at most
+2**(GATHER_BLOCK_BITS + 4) amplitudes or one row of 2**k, adding each
+value's squares in flat index order as a `read_bits` bincount does.
+Only `apply_query` holds more than two blocks; no kernel keeps anything.
 
 A state with one nonzero amplitude 1 (the index form of
 `qsim.StateVector`) or few (its support: ascending flat indices and their
@@ -31,15 +34,13 @@ from __future__ import annotations
 
 import numpy as np
 
-# A gate runs over blocks of 2**GATHER_BLOCK_BITS columns (the leading
-# other bits fixed), so it holds at most two block-sized temporaries; a
-# state of up to k + 11 bits is one block.  A column's zgemm bits can
-# depend on the block width: on OpenBLAS 0.3.31, products match one
-# product over all columns only for a width that is a multiple of 4.
-# Each block is 2**11 columns or the whole state, so the blocking keeps
-# the bits; `support_gate` pads its block of gathered columns to whole
-# 4-column tiles for the same reason, or takes the whole state's width
-# where that is below 4 columns.
+# Blocks of 2**GATHER_BLOCK_BITS columns: a state of up to k + 11 bits is
+# one.  A column's zgemm bits can depend on the block width: on OpenBLAS
+# 0.3.31, products match one product over all columns only for a width
+# that is a multiple of 4.  Each block is 2**11 columns or the whole
+# state, so the blocking keeps the bits; `support_gate` pads its gathered
+# columns to whole 4-column tiles for the same reason, or takes the whole
+# state's width where that is below 4 columns.
 GATHER_BLOCK_BITS = 11
 
 
@@ -181,25 +182,27 @@ def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
     return _sorted(new[keep], out[keep])
 
 
-def address_masses(amps: np.ndarray, n: int, scratch: bool = False) -> np.ndarray:
-    """Squared-magnitude mass per address word (length 2**n), address in low
-    bits, in flat index order; with scratch, amps is squared in place."""
-    re, im = amps.real, amps.imag
-    p = np.square(re, out=re if scratch else None)
-    p += np.square(im, out=im if scratch else None)
-    return p.reshape(-1, 1 << n).sum(axis=0)
+def _square_sums(view: np.ndarray, k: int) -> np.ndarray:
+    # per block: the squares, copied to C order, the earlier sums added to
+    # row 0, then an axis-0 sum; numpy would sum pairwise a column-major
+    # block (a moved view's can be one) or one column (no read bits): a cumsum
+    fixed = max(0, view.ndim - max(k, GATHER_BLOCK_BITS + 4))
+    sums = np.zeros(1 << k)
+    for lead in np.ndindex(view.shape[:fixed]):
+        rows = np.square(view[lead].real)  # in the block's memory order
+        rows += np.square(view[lead].imag)
+        rows = np.ascontiguousarray(rows).reshape(-1, 1 << k)
+        rows[0] += sums
+        sums = rows.sum(axis=0) if k else np.cumsum(rows, axis=0, out=rows)[-1].copy()
+    return sums
+
+
+def address_masses(amps: np.ndarray, n: int) -> np.ndarray:
+    """Squared-magnitude mass per address word (the n low bits, length 2**n)."""
+    return _square_sums(amps.reshape((2,) * (amps.size.bit_length() - 1)), n)
 
 
 def value_distribution(amps: np.ndarray, nbits: int, bits: tuple[int, ...]) -> np.ndarray:
-    """Probability of each value read off the given bits (length 2**k): the
-    squares of the `_target_view` with the read bits moved last, copied to
-    C order, summed over rows, so each value's squares add in flat index
-    order, as a `read_bits` bincount over a support's ascending indices."""
-    p = amps.real ** 2 + amps.imag ** 2
-    if not bits:  # numpy would sum the one column pairwise
-        return np.cumsum(p, out=p)[-1:].copy()
+    """Probability of each value read off the given bits (length 2**k)."""
     k = len(bits)
-    # the copy: a reshape of the moved view can come back column-major,
-    # which numpy would sum pairwise too
-    rows = np.ascontiguousarray(np.moveaxis(_target_view(p, nbits, bits), range(k), range(-k, 0)))
-    return rows.reshape(-1, 1 << k).sum(axis=0)
+    return _square_sums(np.moveaxis(_target_view(amps, nbits, bits), range(k), range(-k, 0)), k)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayoutMismatchError, TargetOutOfRangeError, WidthMismatchError
+from .errors import LayoutMismatchError, WidthMismatchError
 from .oracles import BitWord, OracleTable
 from .qsim import (LocalUnitary, QubitLayout, StateVector, _admit, _haar_stack,
                    apply_round, cnot_gate, gate_block, readout_distribution)
@@ -51,9 +51,7 @@ class QueryProgram:
         object.__setattr__(self, "output_region", tuple(self.output_region))
         object.__setattr__(self, "blocks", tuple(gate_block(self.layout, b)
                                                  for b in (self.prelude, *self.rounds)))
-        if len(set(self.output_region)) != len(self.output_region):
-            raise TargetOutOfRangeError("output region positions must be distinct")
-        self.layout.index_bits(self.output_region)  # raises for a position outside
+        self.layout.index_bits(self.output_region)  # raises for a repeated or outside position
 
     @property
     def query_count(self) -> int:

@@ -114,7 +114,10 @@ class QubitLayout:
         return 2 * n - 1 - (position - tau - n)
 
     def index_bits(self, positions) -> tuple[int, ...]:
-        return tuple(self.index_bit(p) for p in positions)
+        bits = tuple(self.index_bit(p) for p in positions)
+        if len(set(bits)) < len(bits):
+            raise DuplicateTargetError(f"repeated qubit position (index bits {bits})")
+        return bits
 
     @property
     def work_positions(self) -> tuple[int, ...]:
@@ -413,8 +416,8 @@ def query_mass(vector: StateVector, a: BitWord) -> float:
 
 
 def difference_masses(v1: StateVector, v2: StateVector) -> np.ndarray:
-    """`query_masses` of the vector v1 - v2, bit for bit, in any pair of
-    forms; two supports merge into v1 - v2 with no dense buffer."""
+    """`query_masses` of the vector v1 - v2, bit for bit, in any pair of forms:
+    two supports merge with no dense buffer, any other pair holds one, v1 - v2."""
     if v1.layout != v2.layout:
         raise LayoutMismatchError("states use different layouts")
     n = v1.layout.query_width
@@ -438,12 +441,11 @@ def difference_masses(v1: StateVector, v2: StateVector) -> np.ndarray:
         return query_masses(StateVector._of(v1.layout, None, (idx[keep], vals[keep]), None))
     if s1 is not None:  # v2 - v1 is -(v1 - v2): the same squares
         v1, v2, s1, s2 = v2, v1, s2, s1
-    diff = v1.amplitudes.copy()
     if s2 is None:
-        diff -= v2.amplitudes
-    else:
-        diff[s2[0]] -= s2[1]
-    return kernels.address_masses(diff, n, scratch=True)
+        return kernels.address_masses(v1.amplitudes - v2.amplitudes, n)
+    diff = v1.amplitudes.copy()
+    diff[s2[0]] -= s2[1]
+    return kernels.address_masses(diff, n)
 
 
 def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float:

@@ -3,10 +3,11 @@
 The references build full-size int64 index tables, as the kernels once did:
 one for each body of the gate's block loop (the row moves of a 0/1
 permutation, and the matrix product that applies every other 1-4 target
-gate), the XOR query and the readout.  Both gate bodies must agree with
-the kernels byte for byte, signed zeros included, at any placement of the
-target bits and on states of one block or of several; every gate holds at
-most two blocks.
+gate), the XOR query, and the flat-order bincount that the address masses
+and the readout must match.  Both gate bodies must agree with the kernels
+byte for byte, signed zeros included, at any placement of the target bits
+and on states of one block or of several; every gate holds at most two
+blocks, and the square sums no more than the largest gate.
 """
 
 import gc
@@ -275,14 +276,29 @@ def test_query_matches_index_table_at_every_width(nbits):
         assert np.array_equal(out, query_reference(amps, nbits, n, fvals))
 
 
-@pytest.mark.parametrize("nbits", range(1, 17))
+@pytest.mark.parametrize("nbits", [*range(1, 17), 18, 20])
 def test_readout_matches_bincount_for_every_region_size(nbits):
     rng = generator(41, "readout", nbits)
     amps = random_amps(nbits, rng)
-    for k in range(nbits + 1):
-        bits = pick_bits(nbits, k, rng)
+    # past 16 bits, on 8 or 32 blocks: a few region sizes (16 bits: one row
+    # a block), and the top bits in order, whose moved blocks reshape
+    # column-major
+    sizes = range(nbits + 1) if nbits <= 16 else (0, 1, 3, 4, 16)
+    regions = [pick_bits(nbits, k, rng) for k in sizes]
+    if nbits > 16:
+        regions.append(tuple(range(nbits - 1, nbits - 4, -1)))
+    for bits in regions:
         out = kernels.value_distribution(amps, nbits, bits)
         assert np.array_equal(out, readout_reference(amps, nbits, bits))
+
+
+@pytest.mark.parametrize("nbits", [1, 8, 15, 16, 18, 20])
+def test_address_masses_match_bincount_for_every_width(nbits):
+    # the address word is the n low bits: the readout of bits n-1 ... 0
+    amps = random_amps(nbits, generator(41, "masses", nbits))
+    for n in range(nbits + 1):
+        out = kernels.address_masses(amps, n)
+        assert np.array_equal(out, readout_reference(amps, nbits, tuple(range(n - 1, -1, -1))))
 
 
 # array and view headers live during a call: a (2,)*20 view alone carries
@@ -323,17 +339,20 @@ def test_kernels_keep_nothing_and_hold_at_most_two_states():
             ("dense 1q", gate((7,), u1), blocks(1)),
             ("dense 2q", gate((19, 2), u2), blocks(2)),
             ("gather", gate((19, 16, 5, 0), u4), blocks(4)),
+            # the squares of one block of the largest gate's size, at most
+            # what that gate holds
+            ("masses", lambda: kernels.address_masses(amps, bit(4)), blocks(4)),
             ("readout", lambda: kernels.value_distribution(
-                amps, nbits, tuple(map(bit, (19, 18, 17, 3)))), 2),
+                amps, nbits, tuple(map(bit, (19, 18, 17, 3)))), blocks(4)),
         ]
 
     # numpy keeps small freed buffers for reuse, and the first calls leave
     # some allocated in kernel frames.  A warm-up round fills those caches
     # before tracing and shares no argument with the traced round (its own
-    # query tables, dense matrices and permutations, every target bit
-    # mirrored), so a kernel that kept anything keyed on its arguments is
-    # still caught below.  The traced round's arguments are drawn first,
-    # outside tracing.
+    # query tables, dense matrices and permutations, every target bit and
+    # the address width mirrored), so a kernel that kept anything keyed on
+    # its arguments is still caught below.  The traced round's arguments
+    # are drawn first, outside tracing.
     traced = calls(generator(41, "memory", 1), (x, cnot, toffoli), lambda b: b)
     for _, call, _ in calls(generator(41, "memory-warm-up", 0), warm_gates,
                             lambda b: nbits - 1 - b):

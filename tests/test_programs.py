@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from qqlab import kernels, qsim
-from qqlab.errors import (CapExceededError, LayoutMismatchError, NonUnitaryError,
-                          WidthMismatchError)
+from qqlab.errors import (CapExceededError, DuplicateTargetError, LayoutMismatchError,
+                          NonUnitaryError, TargetOutOfRangeError, WidthMismatchError)
 from qqlab.harness import build_program
 from qqlab.oracles import (BitWord, all_oracles, iterate, make_oracle,
                            mutate, orbit, sample_uniform_oracle)
@@ -210,6 +210,14 @@ class TestRandomProgram:
                 a, b = generator(seed, "program", t), generator(seed, "program", t)
                 self.assert_per_gate_build(random_program(n, tau, t, a), n, tau, t, b)
                 assert a.random() == b.random()  # the same draws, no more
+
+
+def test_repeated_or_outside_output_region_refused():
+    lay = QubitLayout(2, 2)
+    with pytest.raises(DuplicateTargetError):
+        QueryProgram(lay, (), (), (0, 1, 0))
+    with pytest.raises(TargetOutOfRangeError):
+        QueryProgram(lay, (), (), (0, 6))
 
 
 class TestSuccessProbability:

@@ -609,6 +609,19 @@ def dense(state):
     return StateVector(state.layout, state.amplitudes)
 
 
+def test_repeated_read_positions_are_refused_in_every_form():
+    # one rule for a repeated position, whatever form the state is held in
+    lay = QubitLayout(6, 3)
+    basic = StateVector.basic(lay, 5)
+    sup = support_state(lay, generator(71, "repeated-positions", 0))
+    for state in (basic, sup, dense(sup)):
+        for positions in ((0, 0), (1, 3, 1)):
+            with pytest.raises(DuplicateTargetError):
+                readout_distribution(state, positions)
+    with pytest.raises(DuplicateTargetError):
+        lay.index_bits(iter((2, 0, 2)))
+
+
 class TestSupportForm:
     """A state carried as its support must give every reader and every step
     the bits of the same state held dense, in every pairing of forms."""
