@@ -255,7 +255,7 @@ class ExperimentReport(_ReportFiles):
             "aggregates": self.aggregates,
             "wall_time_s": self.wall_time,
             "rows": self.rows,
-        }, indent=1)
+        })
 
 
 def _row(report: GapReport, seed_tag: str) -> dict:
@@ -467,7 +467,7 @@ class CensusReport(_ReportFiles):
             "threshold": self.threshold, "total_oracles": self.total_oracles,
             "failing_fraction": self.failing_fraction,
             "probabilities": self.probabilities,
-        }, indent=1)
+        })
 
     def to_csv(self) -> str:
         lines = [f"# {CSV_VERSION} kind=census family={self.family} "

@@ -32,6 +32,8 @@ writes patterns (flip tables, and a dense gate's new support indices).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 # Blocks of 2**GATHER_BLOCK_BITS columns: a state of up to k + 11 bits is
@@ -76,8 +78,8 @@ def read_bits(index, bits: tuple[int, ...]):
 def _offsets(bits: tuple[int, ...]) -> np.ndarray:
     """offsets[p]: target pattern p written MSB-first onto the given bits of
     a flat index that is 0 elsewhere (int64, length 2**k)."""
-    k = len(bits)  # row p: p's bits MSB-first, times each target bit's weight
-    return (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1) @ (1 << np.array(bits))
+    # one choice of 0 or the bit's weight per target bit, bits[0] varying slowest
+    return np.array([sum(c) for c in itertools.product(*((0, 1 << b) for b in bits))], np.int64)
 
 
 def flip_table(bits: tuple[int, ...], matrix: np.ndarray) -> tuple[int, ...] | None:
@@ -112,7 +114,7 @@ def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],
         src = tuple(np.array([a[l] for l in moved], dtype=np.intp) for a in axis)
         dst = tuple(np.array([a[perm[l]] for l in moved], dtype=np.intp) for a in axis)
     # rows are local patterns, columns the other bits in flat order
-    for lead in np.ndindex((2,) * max(0, nbits - k - GATHER_BLOCK_BITS)):
+    for lead in itertools.product((0, 1), repeat=max(0, nbits - k - GATHER_BLOCK_BITS)):
         block = view[(slice(None),) * k + lead]
         if perm is None:
             block[...] = (matrix @ block.reshape(1 << k, -1)).reshape(block.shape)
@@ -124,15 +126,16 @@ def apply_query(amps: np.ndarray, nbits: int, n: int, fvals: np.ndarray) -> np.n
     """XOR-query transform; returns a fresh array.
 
     Convention: address word in index bits 0..n-1, answer half in bits
-    n..2n-1.  Amplitude at (w, b, a) comes from (w, b ^ f(a), a).  Besides
-    the result, a call holds one 4**n-entry table of source columns.
+    n..2n-1.  Amplitude at (w, b, a) comes from (w, b ^ f(a), a), gathered
+    through one 4**n-entry table of source columns without a bounds check:
+    fvals must be in range(2**n), as an `OracleTable`'s are (out of range wraps).
     """
     words = np.arange(1 << n, dtype=np.int64)
     # src[b, a]: where the low 2n bits (b, a) of a destination are read from
     src = words[:, None] ^ fvals.astype(np.int64)[None, :]
     src <<= n
     src |= words[None, :]
-    return np.take(amps.reshape(-1, 1 << 2 * n), src.ravel(), axis=1).reshape(-1)
+    return np.take(amps.reshape(-1, 1 << 2 * n), src.ravel(), axis=1, mode="wrap").reshape(-1)
 
 
 def _sorted(idx: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -188,7 +191,7 @@ def _square_sums(view: np.ndarray, k: int) -> np.ndarray:
     # block (a moved view's can be one) or one column (no read bits): a cumsum
     fixed = max(0, view.ndim - max(k, GATHER_BLOCK_BITS + 4))
     sums = np.zeros(1 << k)
-    for lead in np.ndindex(view.shape[:fixed]):
+    for lead in itertools.product((0, 1), repeat=fixed):
         rows = np.square(view[lead].real)  # in the block's memory order
         rows += np.square(view[lead].imag)
         rows = np.ascontiguousarray(rows).reshape(-1, 1 << k)

@@ -77,7 +77,7 @@ class OracleTable:
         if v.shape != (1 << self.width,):
             raise LengthMismatchError(
                 f"table must have {1 << self.width} entries, got {v.shape}")
-        if v.size and (v.min() < 0 or v.max() >= (1 << self.width)):
+        if np.bitwise_or.reduce(v) >> self.width:  # a bit at width or above: < 0 or too big
             raise WidthMismatchError("table entry out of range for width")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
@@ -205,10 +205,8 @@ def all_oracles(n: int) -> Iterator[OracleTable]:
 
 def oracle_to_text(f: OracleTable) -> str:
     """Text form: "n=<width>" then one "<x> <f(x)>" line per word, ascending x."""
-    lines = [f"n={f.width}"]
-    for x in range(1 << f.width):
-        lines.append(f"{format(x, f'0{f.width}b')} {format(int(f.values[x]), f'0{f.width}b')}")
-    return "\n".join(lines) + "\n"
+    w = f"0{f.width}b"
+    return f"n={f.width}\n" + "".join(f"{x:{w}} {int(y):{w}}\n" for x, y in enumerate(f.values))
 
 
 def oracle_from_text(text: str) -> OracleTable:
@@ -224,10 +222,9 @@ def oracle_from_text(text: str) -> OracleTable:
         words = ln.split()
         if len(words) != 2 or any(len(s) != n or s.strip("01") for s in words):
             raise InputError(f"line {i + 2}: expected two width-{n} bit words, got {ln!r}")
-        xs, ys = words
-        if int(xs, 2) != i:
+        if int(words[0], 2) != i:
             raise InputError(f"line {i + 2}: rows must be in ascending x order")
-        values[i] = int(ys, 2)
+        values[i] = int(words[1], 2)
     return OracleTable(n, values)
 
 

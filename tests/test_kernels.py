@@ -11,6 +11,7 @@ blocks, and the square sums no more than the largest gate.
 """
 
 import gc
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -241,6 +242,15 @@ def test_read_bits_of_no_bits_is_zero_of_the_index_shape():
     assert values.dtype == np.int64 and np.array_equal(values, np.zeros((2, 3)))
 
 
+@pytest.mark.parametrize("k", range(1, 5))
+def test_offsets_match_the_pattern_matrix_product(k):
+    # row p of the matrix: p's bits MSB-first; times each target bit's weight
+    for bits in itertools.permutations(range(6), k):
+        ref = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1) & 1) @ (1 << np.array(bits))
+        got = kernels._offsets(bits)
+        assert got.dtype == np.int64 and np.array_equal(got, ref), bits
+
+
 @pytest.mark.parametrize("trial", range(40))
 def test_gather_gate_matches_index_table(trial):
     rng = generator(41, "gather", trial)
@@ -266,11 +276,15 @@ def test_gather_gate_on_leading_or_all_bits(nbits, bits):
     assert np.array_equal(amps, ref)
 
 
-@pytest.mark.parametrize("nbits", range(2, 17))
+@pytest.mark.parametrize("nbits", [*range(2, 17), 18, 20])
 def test_query_matches_index_table_at_every_width(nbits):
+    # the kernel's gather is unchecked (mode="wrap"), so a source column out
+    # of range would wrap silently: every width to 16 bits, then n = 1, 4
+    # and the largest n past it
     rng = generator(41, "query", nbits)
     amps = random_amps(nbits, rng)
-    for n in range(1, nbits // 2 + 1):
+    widths = range(1, nbits // 2 + 1) if nbits <= 16 else (1, 4, nbits // 2)
+    for n in widths:
         fvals = rng.integers(0, 1 << n, size=1 << n)
         out = kernels.apply_query(amps, nbits, n, fvals)
         assert np.array_equal(out, query_reference(amps, nbits, n, fvals))

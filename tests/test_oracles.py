@@ -64,6 +64,21 @@ class TestMakeOracle:
         assert v.flags.writeable
         assert f.values[0] == 1 and not f.values.flags.writeable
 
+    # the range check is one bitwise-or reduction: any entry below 0 or of
+    # 2**n or more sets a bit at position n or above, the int64 extremes too
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    @pytest.mark.parametrize("bad", [lambda n: -1, lambda n: 1 << n, lambda n: -2**63,
+                                     lambda n: 2**63 - 1],
+                             ids=["-1", "2**n", "-2**63", "2**63-1"])
+    def test_every_out_of_range_entry_is_refused(self, n, bad):
+        top = (1 << n) - 1  # a table of all 2**n - 1 is in range
+        assert np.array_equal(OracleTable(n, np.full(1 << n, top)).values, [top] * (1 << n))
+        for pos in (0, (1 << n) - 1):
+            v = np.full(1 << n, top, dtype=np.int64)
+            v[pos] = bad(n)
+            with pytest.raises(WidthMismatchError):
+                OracleTable(n, v)
+
 
 class TestSampling:
     def test_deterministic_given_seed(self):
