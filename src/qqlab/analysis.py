@@ -26,18 +26,16 @@ which makes no query.  `lemma2_check` and the mass matrix read
 `programs.chain` as a stream, keeping running sums and the final state
 only.
 
-A chain run beside a known one reuses the known chain's next state instead
-of stepping a round: while the two chains hold the same state, and that
-state carries no word where the two oracles differ (`qsim.occupied_words`:
-no nonzero amplitude there, which a mass of 0.0 does not show), the two
-XOR queries move every nonzero amplitude alike, the changed columns hold
-only zeros, and the gates after them give every nonzero amplitude the same
-bits.  The states then agree byte for byte, as chain states hold no -0.0
-(`qsim`), so every report keeps its bits.  The g-run of `lemma2_check`,
-the swapped steps and the fixed-final-oracle chain of the bound report,
-and its freshly-redirected chain (beside the fixed chain, restarted after
-the pass from the last trace state the two shared) reuse so;
-`pigeonhole_mutation_check` takes the f-run's final state when no
+A chain under g run beside a known chain under f shares its states while
+each state it has left carried no word where f and g differ
+(`qsim.occupied_words`: no nonzero amplitude there, which a mass of 0.0
+does not show): the two XOR queries then move every nonzero amplitude
+alike, the gates give each the same bits, and as chain states hold no -0.0
+(`qsim`) every report keeps its bits.  `lemma2_check`'s g-run keeps that
+as a flag, `shared`; the bound report's swapped step is the trace's next
+state unless the trace state carries a changed word, and its fixed and
+freshly-redirected chains share so too (the fresh one restarted after the
+pass).  `pigeonhole_mutation_check` takes the f-run's final state when no
 pre-query state carries the mutated word, and steps from chi_0 otherwise.
 """
 
@@ -96,29 +94,20 @@ def lemma1_check(state: StateVector, f: OracleTable, g: OracleTable,
     return GapReport(context, lhs, rhs)
 
 
-def _beside(state: StateVector, known: StateVector, following: StateVector,
-            g: OracleTable, changed: np.ndarray, block) -> StateVector:
-    """apply_round(state, g, block) for a chain stepped beside a known one
-    that went from `known` to `following` under an oracle differing from g
-    on the `changed` words: `following` itself while `state` is `known` and
-    carries none of those words."""
-    if state is known and not occupied_words(state)[changed].any():
-        return following
-    return apply_round(state, g, block)
-
-
 def lemma2_check(prog: QueryProgram, f: OracleTable, a: BitWord, y: BitWord,
                  input_word: BitWord, context: str = "hybrid") -> GapReport:
     """Hybrid bound: a single-word mutation moves the final state by at most
     twice the summed root query masses on that word across the rounds."""
     g = mutate(f, a, y)
     changed = f.values != g.values
-    roots = 0  # running sum over the pre-query states; the last state is final
+    # roots sums over the pre-query states.  The g-run is the f-run's own state
+    # while every pre-query state so far carried no changed word (shared)
+    roots, shared = 0, True
     for i, state in enumerate(chain(prog, f, input_word)):
-        mutated = _beside(mutated, previous, state, g, changed, prog.blocks[i]) if i else state
-        previous = state if mutated is state else None  # no f-run state once the runs part
+        mutated = state if shared else apply_round(mutated, g, prog.blocks[i])
         if i < prog.query_count:
             roots += np.sqrt(query_mass(state, a))
+            shared = shared and not occupied_words(state)[changed].any()
     lhs = l2_distance(state, mutated)
     # when g == f no word actually differs, so the mass sum is empty
     rhs = 0.0 if g == f else 2.0 * roots
@@ -342,7 +331,8 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
         premise_masses.append(worst)
         premises.append(worst < threshold)
         block, following = prog.blocks[i + 1], trace.steps[i + 1].state
-        swapped = _beside(step.state, step.state, following, f_final, changed, block)
+        swapped = (apply_round(step.state, f_final, block)
+                   if occupied_words(step.state)[changed].any() else following)
         deltas.append(l2_distance(following, swapped))
         if primed is step.state:  # the fixed chain is still the trace's: the same step
             primed = swapped

@@ -2,8 +2,8 @@
 
 Exit status: 0 on success, 1 if any checked inequality row has slack below
 -1e-9 (or a recorded identity fails), 2 on usage and input errors: bad
-flags, malformed oracle or config files, a bad QQLAB_QUBIT_CAP, or a
-layout over the qubit cap.
+flags, malformed oracle or config files, a bad QQLAB_QUBIT_CAP, a layout
+over the qubit cap, or a state or program too large for memory.
 
 Each experiment kind takes the flags, and a --config file the fields, that
 it reads (harness.KIND_FIELDS); anything else exits 2.  Precedence:
@@ -162,7 +162,7 @@ def cli_main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:
-        print(f"error: the layout does not fit in memory: {e}", file=sys.stderr)
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 2
     except QqlabError as e:
         print(f"check failed: {e}", file=sys.stderr)

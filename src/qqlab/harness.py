@@ -37,7 +37,7 @@ from .analysis import (TOL, GapReport, _alpha_threshold, adversary_bound_report,
 from .errors import CapExceededError, ConfigError, InputError, WidthMismatchError
 from .oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
 from .programs import (QueryProgram, classical_emulation_program, initial_state,
-                       output_distribution, random_program, truncate_after_query)
+                       output_distribution, random_program, refuse_rounds, truncate_after_query)
 from .qsim import QubitLayout, StateVector, apply_round, occupied_words, x_gate
 from .rng import generator
 
@@ -208,6 +208,7 @@ def build_program(family: str, n: int, T: int, t: int | None,
     if family == "concentrated":
         # every pre-query state keeps its address register untouched, so all
         # query mass stays on the input word round after round
+        refuse_rounds(rounds, 180)  # measured: about 180 bytes a round
         layout = QubitLayout(max(tau_work, 1), n)
         flip = (x_gate(0),)
         return QueryProgram(layout, (), tuple(flip for _ in range(rounds)),

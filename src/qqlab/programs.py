@@ -25,6 +25,7 @@ state's form.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,11 +153,18 @@ def classical_emulation_program(n: int, T: int) -> QueryProgram:
     return QueryProgram(layout, tuple(prelude), tuple(rounds), reg[T])
 
 
+def refuse_rounds(rounds: int, round_bytes: int) -> None:
+    """Raise MemoryError, before anything is drawn, for rounds physical memory cannot hold."""
+    if rounds * round_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(f"a program of {rounds} rounds ({round_bytes} B each) exceeds memory")
+
+
 def random_program(n: int, work_qubits: int, t: int, seed) -> QueryProgram:
     """Haar-random small-gate program: 1..4 gates on 1 or 2 random targets
     in the prelude and in every round.  Per block (prelude, rounds 1..t): the gate
     count, then per gate k, the targets (`rng.choice`, no replacement), the real
     and then imaginary Ginibre part, as `random_gate` draws; one QR per size."""
+    refuse_rounds(t, 3000)  # measured: about 3 KB a round at the build's peak
     rng = as_generator(seed)
     layout = QubitLayout(work_qubits, n)
     blocks, draws = [], {1: [], 2: []}  # (targets, place in draws[k]) per gate

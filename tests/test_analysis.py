@@ -879,6 +879,48 @@ class TestStreamedChains:
         assert peak <= states * 16 * prog.layout.dim
 
 
+class TestBesideChainsMemory:
+    """A chain run beside a known one holds no state of its own while it
+    shares the known chain's: on dense 14-qubit Haar programs lemma2 holds
+    at most 4 states, and the bound report at most 3 beyond its trace (a
+    freshly-redirected chain stepped inside the pass would hold a fourth).
+    An eighth of a state is left for blocks and small arrays."""
+
+    STATE = 16 << 14
+
+    def peak(self, run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_lemma2_holds_four_states(self, monkeypatch):
+        monkeypatch.setattr(qsim, "SUPPORT_SHARE", 1 << 62)  # dense at the first Haar gate
+        x = BitWord.zero(6)
+        for seed in range(40):
+            rng = generator(71, "beside-lemma2", seed)
+            prog = random_program(6, 2, int(rng.integers(2, 7)), rng)  # 14 qubits
+            f = sample_uniform_oracle(6, rng)
+            a, y = (BitWord(6, int(v)) for v in rng.integers(0, 64, size=2))
+            assert self.peak(lambda: lemma2_check(prog, f, a, y, x)) <= 4.125 * self.STATE
+
+    def test_report_holds_three_states_beyond_its_trace(self, monkeypatch):
+        monkeypatch.setattr(qsim, "SUPPORT_SHARE", 1 << 62)
+        traces = 0
+        for seed in range(50):
+            rng = generator(71, "beside-report", seed)
+            t = int(rng.integers(2, 6))
+            prog = random_program(6, 2, t, rng)
+            trace = build_hard_oracle(prog, t + 1, 1.0, rng)  # held before tracing
+            if trace.succeeded:
+                traces += 1
+                report = lambda: adversary_bound_report(prog, trace, t + 1, 1.0)
+                assert self.peak(report) <= 3.125 * self.STATE
+        assert traces >= 40
+
+
 class TestEveryFormGivesTheSameReport:
     """Whether chain states are carried as supports, go dense at the
     default threshold or go dense at their first Haar gate, every report

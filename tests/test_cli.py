@@ -2,9 +2,12 @@ import contextlib
 import io
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -13,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qqlab
-from qqlab import cli
+from qqlab import cli, programs
 from qqlab.cli import cli_main
 from qqlab.harness import FAMILIES, KIND_FIELDS, KINDS, ExperimentConfig
 from qqlab.oracles import BitWord, make_oracle, oracle_to_text, sample_uniform_oracle, save_oracle
@@ -166,6 +169,64 @@ class TestInputErrors:
     def test_full_emulation_rounds_other_than_T(self, kind, capsys):
         self.assert_input_error([kind, "--family", "classical-emulation", "--n", "2",
                                  "--T", "3", "--t", "1"], capsys)
+
+
+@contextlib.contextmanager
+def address_space_cap(extra: int):
+    """Cap this process's address space at what it maps now plus extra bytes,
+    so a program that a broken refusal goes on building fails soon instead
+    of filling the host's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    mapped = int(Path("/proc/self/statm").read_text().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    resource.setrlimit(resource.RLIMIT_AS, (mapped + extra, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+class TestProgramTooLargeForMemory:
+    """A program whose rounds cannot fit in physical memory is refused before
+    anything is drawn: exit 2 at once, one `error:` line naming the rounds.
+    The physical memory read from os.sysconf is patched to 1 GiB."""
+
+    @pytest.fixture(autouse=True)
+    def one_gib(self, monkeypatch):
+        real, page = os.sysconf, os.sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(os, "sysconf", lambda name: (1 << 30) // page
+                            if name == "SC_PHYS_PAGES" else real(name))
+
+    @pytest.mark.parametrize("argv, rounds", [
+        (["lemma2", "--n", "2", "--t", "99999999999", "--trials", "1"], r"\d+"),
+        (["pigeonhole", "--family", "random", "--n", "2", "--T", str(1 << 62), "--trials", "1"],
+         str(1 << 30)),  # the default t, about sqrt(T)/2
+        (["pigeonhole", "--family", "concentrated", "--n", "2", "--T", str(1 << 62), "--t",
+          str(1 << 40), "--trials", "1"], str(1 << 40)),
+        (["adversary", "--family", "concentrated", "--n", "2", "--T", str(1 << 40),
+          "--trials", "1"], str((1 << 40) - 1)),
+        (["census", "--family", "random", "--n", "1", "--T", str(1 << 40)], str((1 << 40) - 1))],
+        ids=["lemma2", "pigeonhole-random", "pigeonhole-concentrated", "adversary-concentrated",
+             "census-random"])
+    def test_exits_two_at_once_naming_the_rounds(self, argv, rounds, capsys):
+        started = time.perf_counter()
+        with address_space_cap(1 << 30):
+            assert cli_main(argv) == 2
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert re.fullmatch(rf"error: a program of {rounds} rounds .*", err.strip())
+
+    def test_a_long_program_that_fits_is_built(self, monkeypatch, capsys):
+        assert cli_main(["lemma2", "--n", "2", "--t", "1000", "--trials", "1"]) == 0
+
+        class Drawn(Exception):
+            pass
+
+        def drawing(seed):  # the first draw comes after the refusal
+            raise Drawn
+        monkeypatch.setattr(programs, "as_generator", drawing)
+        with pytest.raises(Drawn):
+            programs.random_program(2, 2, 100000, 0)
 
 
 def test_pigeonhole_reports_the_rounds_its_programs_run(tmp_path, capsys):
@@ -364,6 +425,17 @@ class TestExitOnViolation:
         assert cli_main(["lemma1", "--trials", "1"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.splitlines() == ["check failed: hybrid chain failed: 2.0 > 1.0"]
+
+    def test_running_out_of_memory_exits_two_with_one_error_line(self, monkeypatch, capsys):
+        # a bare MemoryError, as an allocation may raise, says no more than that
+        from qqlab import harness
+
+        def failing(cfg):
+            raise MemoryError
+        monkeypatch.setitem(harness._RUNNERS, "lemma1", failing)
+        assert cli_main(["lemma1", "--trials", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: out of memory"]
 
     def test_unchecked_rows_do_not_fail_the_run(self):
         from qqlab.cli import _print_summary
