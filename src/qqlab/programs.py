@@ -11,8 +11,8 @@ result is read verbatim off the program's output region.
 
 Every chain is stepped one block at a time by `qsim.apply_round`: block 0
 is the prelude, block i + 1 the query and the gates of round i.  Each gate
-is placed on its index bits once per program (`QueryProgram.blocks`) and
-finds its flip table on its first step, not when the program is built.
+is placed once per program, on its index bits and with its flip table,
+when the program is built (`QueryProgram.blocks`).
 `chain` (and through it `run`, `run_final` and `success_probability`) and
 the adversary code in `analysis` step their states that way, so a basic
 input stays in the index form through every 0/1 permutation gate and

@@ -59,7 +59,6 @@ MAX_GATE_TARGETS = 4
 # dense within a few gates; a support meets a block with a 3-4 target
 # dense gate with one test, at its start, on all its dense gates' k together
 SUPPORT_SHARE = 16
-_UNFOUND = object()  # a PlacedGate's flips before its first index or support step
 
 
 def qubit_cap() -> int:
@@ -281,32 +280,19 @@ def basis_state(layout: QubitLayout, assignment: BasisAssignment) -> StateVector
                                          for p, b in enumerate(assignment.bits)))
 
 
-class PlacedGate:
-    """A gate on its flat-index bits.  `flips`, its `kernels.flip_table`
-    (None for a dense gate), is found on its first index or support step."""
-
-    __slots__ = ("bits", "gate", "flips")
-
-    def __init__(self, bits: tuple[int, ...], gate: LocalUnitary):
-        self.bits, self.gate, self.flips = bits, gate, _UNFOUND
-
-    def found_flips(self) -> tuple[int, ...] | None:
-        if self.flips is _UNFOUND:
-            self.flips = kernels.flip_table(self.bits, self.gate.matrix)
-        return self.flips
-
-
-def gate_block(layout: QubitLayout, gates) -> tuple[PlacedGate, ...]:
-    """The gates placed on their index bits for `apply_round`, flip tables
-    not yet found; a target outside the layout raises."""
-    return tuple(PlacedGate(layout.index_bits(u.targets), u) for u in gates)
+def gate_block(layout: QubitLayout, gates) -> tuple[tuple, ...]:
+    """The gates placed for `apply_round`: one (bits, gate, flips) triple
+    each, its index bits and its `kernels.flip_table` (None for a dense
+    gate), found here once; a target outside the layout raises."""
+    placed = ((layout.index_bits(u.targets), u) for u in gates)
+    return tuple((bits, u, kernels.flip_table(bits, u.matrix)) for bits, u in placed)
 
 
 def _outgrows(block, size: int, dim: int) -> bool:
     """Whether a block holds a 3-4 target dense gate and its dense gates
     together could grow a support of `size` past 1/SUPPORT_SHARE of the dim
     amplitudes."""
-    grow = [len(g.bits) for g in block if g.found_flips() is None]
+    grow = [len(bits) for bits, _, flips in block if flips is None]
     return max(grow, default=0) > 2 and (size << sum(grow)) * SUPPORT_SHARE > dim
 
 
@@ -336,22 +322,18 @@ def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector
             index ^= int(f.values[index & ((1 << n) - 1)]) << n
         else:
             support = kernels.support_query(*support, n, f.values)
-    for g in block:
+    for bits, gate, flips in block:
         if amps is None:
-            flips = g.flips
-            if flips is _UNFOUND:
-                flips = g.found_flips()
             if index is not None:
                 if flips is not None:
-                    index ^= flips[kernels.read_bits(index, g.bits)]
+                    index ^= flips[kernels.read_bits(index, bits)]
                     continue
                 support, index = _support(StateVector.basic(layout, index)), None
-            if flips is not None or (
-                    len(support[0]) << len(g.bits)) * SUPPORT_SHARE <= layout.dim:
-                support = kernels.support_gate(*support, g.bits, g.gate.matrix, nbits, flips)
+            if flips is not None or (len(support[0]) << len(bits)) * SUPPORT_SHARE <= layout.dim:
+                support = kernels.support_gate(*support, bits, gate.matrix, nbits, flips)
                 continue
             amps, support = _scattered(layout.dim, support), None
-        kernels.apply_matrix_inplace(amps, nbits, g.bits, g.gate.matrix)
+        kernels.apply_matrix_inplace(amps, nbits, bits, gate.matrix)
     if amps is not None:
         amps.flags.writeable = False
     elif support is not None:

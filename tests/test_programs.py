@@ -431,7 +431,7 @@ class TestBasisIndexPath:
             address = lay.index_bits(lay.address_positions)
             assert kernels.read_bits(state.index, address) == (words[i] if i < T else 0)
 
-    def test_flip_tables_are_found_once_per_program_not_when_it_is_built(self, monkeypatch):
+    def test_flip_tables_are_found_once_per_gate_when_it_is_built(self, monkeypatch):
         calls = []
 
         def counted(matrix, real=kernels.as_permutation):
@@ -440,18 +440,34 @@ class TestBasisIndexPath:
 
         monkeypatch.setattr(kernels, "as_permutation", counted)
         prog = classical_emulation_program(3, 3)
-        assert calls == []
+        assert len(calls) == len(list(prog.all_gates()))
+        calls.clear()
         rng = generator(33, "flip-tables", 0)
-        for i in range(17):
+        for _ in range(17):
             f, x = sample_uniform_oracle(3, rng), BitWord(3, int(rng.integers(8)))
             assert success_probability(prog, f, x, iterate(f, x, 3)) == 1.0
-            if i == 0:
-                found = len(calls)
-                assert 0 < found <= len(list(prog.all_gates()))
-        assert len(calls) == found
+        assert calls == []
 
 
 ALL_FAMILIES = PERMUTATION_FAMILIES + ("random",)
+
+
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+@pytest.mark.parametrize("from_json", [False, True])
+def test_every_gate_is_placed_with_its_bits_and_flip_table(family, from_json):
+    # each block entry is the gate itself on its index bits with its flip
+    # table, found when the program is built (or read back from JSON)
+    prog = build_program(family, 3, 3, None, 2, 5)
+    if from_json:
+        prog = program_from_json(program_to_json(prog))
+    lay = prog.layout
+    assert [len(b) for b in prog.blocks] == [len(prog.prelude)] + [len(r) for r in prog.rounds]
+    for block, gates in zip(prog.blocks, (prog.prelude, *prog.rounds)):
+        for entry, u in zip(block, gates):
+            bits = lay.index_bits(u.targets)
+            assert entry == (bits, u, kernels.flip_table(bits, u.matrix))
+            assert entry[1] is u
+            assert (entry[2] is None) == (family == "random")
 
 
 def with_haar_gates(prog, rng):

@@ -27,3 +27,13 @@ def test_script_exits_zero(script, tmp_path):
     done = subprocess.run([sys.executable, str(SCRIPTS / script), *RUNS[script]],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_package_stays_within_its_line_budget():
+    # ROADMAP's standing rule: src/qqlab holds at most 2,597 physical lines
+    done = subprocess.run([sys.executable, str(SCRIPTS / "line_count.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    total = done.stdout.splitlines()[-1].split()
+    assert total[0] == "total"
+    assert int(total[1]) <= 2597, done.stdout
