@@ -33,6 +33,7 @@ writes patterns (flip tables, and a dense gate's new support indices).
 from __future__ import annotations
 
 import itertools
+from array import array
 
 import numpy as np
 
@@ -59,11 +60,12 @@ def as_permutation(matrix: np.ndarray) -> np.ndarray | None:
     # every permutation matrix starts with 0 or 1: most dense gates stop here
     if matrix[0, 0] != 0 and matrix[0, 0] != 1:
         return None
-    if not np.all((matrix == 0) | (matrix == 1)):
+    # one pass over the rows: each holds one nonzero, a 1, in a column no other row holds
+    cols = [row.index(1) if 1 in row and row.count(0) == len(row) - 1 else -1
+            for row in matrix.tolist()]
+    if -1 in cols or len(set(cols)) < len(cols):
         return None
-    if not (np.all(matrix.sum(axis=0) == 1) and np.all(matrix.sum(axis=1) == 1)):
-        return None
-    return np.argmax(matrix.real, axis=0)
+    return np.argsort(cols)  # P[j]: the row whose 1 is in column j
 
 
 def read_bits(index, bits: tuple[int, ...]):
@@ -91,6 +93,29 @@ def flip_table(bits: tuple[int, ...], matrix: np.ndarray) -> tuple[int, ...] | N
         return None
     offsets = _offsets(bits)
     return tuple((offsets ^ offsets[perm]).tolist())
+
+
+def affine_tables(nbits: int, placed) -> tuple[array, ...] | None:
+    """For two or more gates placed as (bits, gate, flips) triples, each a
+    0/1 permutation whose flip table is affine in its pattern, fl[p] ==
+    fl[p & (p-1)] ^ fl[p & -p] ^ fl[0] for every p, their composed map of a
+    flat index of nbits bits: one table per 8 index bits, whose entries at
+    the index's bytes XOR to its image.  None for any other block."""
+    if len(placed) < 2 or any(fl is None or any(fl[p] != fl[p & (p - 1)] ^ fl[p & -p] ^ fl[0]
+                                                for p in range(len(fl))) for _, _, fl in placed):
+        return None
+    images = []  # of 0, the map's constant (table 0 holds it), then of each index bit alone
+    for index in [0] + [1 << b for b in range(nbits)]:
+        for bits, _, fl in placed:
+            index ^= fl[read_bits(index, bits)]
+        images.append(index)
+    tables = []
+    for low in range(0, nbits, 8):
+        table = [0 if low else images[0]]
+        for image in images[low + 1:low + 9]:
+            table += [v ^ image ^ images[0] for v in table]
+        tables.append(array("q", table))
+    return tuple(tables)
 
 
 def apply_matrix_inplace(amps: np.ndarray, nbits: int, bits: tuple[int, ...],

@@ -9,17 +9,17 @@ Program input convention: the input word is written on the first n
 working qubits, every other qubit starts at 0.  Output convention: the
 result is read verbatim off the program's output region.
 
-Every chain is stepped one block at a time by `qsim.apply_round`: block 0
-is the prelude, block i + 1 the query and the gates of round i.  Each gate
-is placed once per program, on its index bits and with its flip table,
-when the program is built (`QueryProgram.blocks`).
-`chain` (and through it `run`, `run_final` and `success_probability`) and
-the adversary code in `analysis` step their states that way, so a basic
-input stays in the index form through every 0/1 permutation gate and
-query (the whole run, for the classical-emulation, truncated-emulation
-and concentrated families), and from its first other gate on is carried
-as its support while that stays small.  This module never reads a
-state's form.
+Every chain is stepped one block at a time by `qsim.apply_round`: block 0 is
+the prelude, block i + 1 the query and the gates of round i.  Each gate is
+placed once per program, on its index bits and with its flip table, when the
+program is built (`QueryProgram.blocks`), and a block of 2+ gates whose
+tables are all affine with their composed index map.  `chain` (and through
+it `run`, `run_final` and `success_probability`) and the adversary code in
+`analysis` step their states that way, so a basic input stays in the index
+form through every 0/1 permutation gate and query, a composed block by one
+map (the whole run, for the classical-emulation, truncated-emulation and
+concentrated families), and from its first other gate on is carried as its
+support while that stays small.  This module never reads a state's form.
 """
 
 from __future__ import annotations
@@ -80,8 +80,7 @@ def initial_state(layout: QubitLayout, input_word: BitWord) -> StateVector:
     if input_word.value != 0 and layout.work_count < n:
         raise LayoutMismatchError(
             f"nonzero input needs {n} working qubits, layout has {layout.work_count}")
-    return StateVector.basic(
-        layout, sum(1 << layout.index_bit(p) for p, b in enumerate(input_word.bits) if b))
+    return StateVector.basic(layout, input_word.value << (layout.work_count + n))
 
 
 def chain(prog: QueryProgram, f: OracleTable, input_word: BitWord):

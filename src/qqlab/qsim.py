@@ -13,25 +13,25 @@ Register/encoding conventions (fixed, relied on by the file formats):
 * A gate's matrix is written in the basis |e(g_0), e(g_1), ...> of its
   target list, first target most significant.
 
-States are values: every operation returns a fresh vector and never
-mutates its inputs.  A state is held in one of three forms: dense, its
-2**N amplitudes; the index form, the flat index of a basic state with
-amplitude 1 (`StateVector.basic`); or its support, the ascending flat
-indices of its nonzero amplitudes and those amplitudes.  Only this module
-reads a state's form, and `apply_round` alone chooses it: a basic input
-keeps its index through queries and 0/1 permutation gates, and a support
-is kept while it stays small.  Every reader (masses, distances, readouts,
-samples, dumps, the words a state occupies) has one branch for a state
-not held dense, which sees an index-form state as a support of one, and
-gives the dense path's bits, so compared states may be in different
-forms.  Every per-word mass, norm and distance follows one rule: a word's
-mass is its squares added in flat index order (`query_masses`), and a norm
-or distance is the root of the summed masses, which no BLAS thread count
-moves.  Chain states equal the dense path's byte for byte: they start
+States are values: every operation returns a fresh vector and never mutates
+its inputs.  A state is held in one of three forms: dense, its 2**N
+amplitudes; the index form, the flat index of a basic state with amplitude 1
+(`StateVector.basic`); or its support, the ascending flat indices of its
+nonzero amplitudes and those amplitudes.  Only this module reads a state's
+form, and `apply_round` alone chooses it: a basic input keeps its index
+through queries and 0/1 permutation gates (a block of 2+ gates with affine
+flip tables by one composed map), and a support is kept while it stays small.
+Every reader (masses, distances, readouts, samples, dumps, the words a state
+occupies) has one branch for a state not held dense, which sees an index-form
+state as a support of one, and gives the dense path's bits, so compared states
+may be in different forms.  Every per-word mass, norm and distance follows one
+rule: a word's mass is its squares added in flat index order (`query_masses`),
+and a norm or distance is the root of the summed masses, which no BLAS thread
+count moves.  Chain states equal the dense path's byte for byte: they start
 from a basis state, and no dense gate's product wrote -0.0 (OpenBLAS 0.3.31).
-`occupied_words` says which address words carry a nonzero amplitude: a
-round under g from a state that carries no word where f and g differ
-equals the round under f in that same sense, so a caller may reuse it.
+`occupied_words` says which address words carry a nonzero amplitude: a round
+under g from a state that carries no word where f and g differ equals the
+round under f in that same sense, so a caller may reuse it.
 The total qubit count is capped (default 24, about 16M amplitudes);
 QQLAB_QUBIT_CAP overrides it with any integer of at least 2.
 """
@@ -119,10 +119,6 @@ class QubitLayout:
         return bits
 
     @property
-    def work_positions(self) -> tuple[int, ...]:
-        return tuple(range(self.work_count))
-
-    @property
     def address_positions(self) -> tuple[int, ...]:
         return tuple(range(self.work_count, self.work_count + self.query_width))
 
@@ -140,11 +136,6 @@ class BasisAssignment:
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise LayoutMismatchError("assignment bits must be 0 or 1")
-
-    def address_word(self, layout: QubitLayout) -> BitWord:
-        if len(self.bits) != layout.total:
-            raise LayoutMismatchError("assignment does not cover the layout")
-        return BitWord.from_bits(self.bits[p] for p in layout.address_positions)
 
     def word_at(self, positions) -> BitWord:
         return BitWord.from_bits(self.bits[p] for p in positions)
@@ -280,40 +271,42 @@ def basis_state(layout: QubitLayout, assignment: BasisAssignment) -> StateVector
                                          for p, b in enumerate(assignment.bits)))
 
 
-def gate_block(layout: QubitLayout, gates) -> tuple[tuple, ...]:
-    """The gates placed for `apply_round`: one (bits, gate, flips) triple
-    each, its index bits and its `kernels.flip_table` (None for a dense
-    gate), found here once; a target outside the layout raises."""
-    placed = ((layout.index_bits(u.targets), u) for u in gates)
-    return tuple((bits, u, kernels.flip_table(bits, u.matrix)) for bits, u in placed)
+def gate_block(layout: QubitLayout, gates) -> tuple[tuple, tuple | None]:
+    """The gates placed for `apply_round`, found here once: a (bits, gate, flips)
+    triple per gate, with its index bits and `kernels.flip_table` (None for a
+    dense gate), and their `kernels.affine_tables`.  A target outside the layout raises."""
+    placed = tuple((bits, u, kernels.flip_table(bits, u.matrix))
+                   for bits, u in ((layout.index_bits(u.targets), u) for u in gates))
+    return placed, kernels.affine_tables(layout.total, placed)
 
 
-def _outgrows(block, size: int, dim: int) -> bool:
+def _outgrows(placed, size: int, dim: int) -> bool:
     """Whether a block holds a 3-4 target dense gate and its dense gates
     together could grow a support of `size` past 1/SUPPORT_SHARE of the dim
     amplitudes."""
-    grow = [len(bits) for bits, _, flips in block if flips is None]
+    grow = [len(bits) for bits, _, flips in placed if flips is None]
     return max(grow, default=0) > 2 and (size << sum(grow)) * SUPPORT_SHARE > dim
 
 
 def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector:
     """The XOR query under f (none if f is None), then a `gate_block`'s gates.
-    An index-form state steps through queries and 0/1 permutation gates by
-    one XOR each, `index ^= flips[read_bits(index, bits)]` for a gate, and
-    becomes a support of one at the first dense gate.  A support densifies
-    into one fresh buffer before a gate that could grow it past
-    1/SUPPORT_SHARE of the amplitudes (a k-target gate grows it at most
-    2**k-fold), or from its query when the block has a 3-4 target dense gate
-    and its dense gates together could.  The input is never written."""
+    An index-form state steps through queries and 0/1 permutation gates by one
+    XOR each, `index ^= flips[read_bits(index, bits)]` for a gate, or by one
+    composed map through a block of 2+ gates whose flip tables are all affine
+    (`kernels.affine_tables`), and becomes a support of one at the first dense
+    gate.  A support densifies into one fresh buffer before a gate that could
+    grow it past 1/SUPPORT_SHARE of the amplitudes (a k-target gate grows it at
+    most 2**k-fold), or from its query when the block has a 3-4 target dense
+    gate and its dense gates together could.  The input is never written."""
     layout = state.layout
     n, nbits = layout.query_width, layout.total
     if f is not None and f.width != n:
         raise WidthMismatchError(f"oracle width {f.width} != query width {n}")
-    index, support, amps = state.index, state._support, None
+    (placed, tables), index, support, amps = block, state.index, state._support, None
     if index is None and support is None:
         amps = state.amplitudes.copy() if f is None else kernels.apply_query(
             state.amplitudes, nbits, n, f.values)
-    elif support is not None and _outgrows(block, len(support[0]), layout.dim):
+    elif support is not None and _outgrows(placed, len(support[0]), layout.dim):
         amps, support = _scattered(layout.dim, support), None
         if f is not None:
             amps = kernels.apply_query(amps, nbits, n, f.values)
@@ -322,7 +315,12 @@ def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector
             index ^= int(f.values[index & ((1 << n) - 1)]) << n
         else:
             support = kernels.support_query(*support, n, f.values)
-    for bits, gate, flips in block:
+    if index is not None and tables is not None:  # XOR the tables' entries at its bytes
+        stepped, placed = 0, ()
+        for i, table in enumerate(tables):
+            stepped ^= table[(index >> 8 * i) & 255]
+        index = stepped
+    for bits, gate, flips in placed:
         if amps is None:
             if index is not None:
                 if flips is not None:
@@ -349,7 +347,7 @@ def apply_local_unitary(state: StateVector, u: LocalUnitary) -> StateVector:
 
 def apply_query(state: StateVector, f: OracleTable) -> StateVector:
     """XOR query: |w, a, b> -> |w, a, f(a) xor b>."""
-    return apply_round(state, f, ())
+    return apply_round(state, f, gate_block(state.layout, ()))
 
 
 def query_masses(vector: StateVector) -> np.ndarray:
@@ -358,11 +356,19 @@ def query_masses(vector: StateVector) -> np.ndarray:
     support = _support(vector)
     if support is None:
         return kernels.address_masses(vector.amplitudes, n)
-    # the dense axis-0 sum adds each word's entries in flat index order, as
-    # bincount does over the ascending indices; the zeros left out add nothing
+    return _support_masses(support, lambda i: i & ((1 << n) - 1), 1 << n)
+
+
+def _support_masses(support, label, size: int) -> np.ndarray:
+    """A support's squares added per label(index), as the dense sums add in
+    flat index order: a bincount over the ascending indices (the zeros left
+    out add nothing), or one bin for one entry (every index-form state)."""
     idx, vals = support
-    return np.bincount(idx & ((1 << n) - 1), weights=vals.real ** 2 + vals.imag ** 2,
-                       minlength=1 << n)
+    if len(idx) == 1:
+        out, v = np.zeros(size), complex(vals[0])
+        out[label(int(idx[0]))] = v.real * v.real + v.imag * v.imag
+        return out
+    return np.bincount(label(idx), weights=vals.real ** 2 + vals.imag ** 2, minlength=size)
 
 
 def occupied_words(state: StateVector) -> np.ndarray:
@@ -406,10 +412,9 @@ def difference_masses(v1: StateVector, v2: StateVector) -> np.ndarray:
     masses = np.zeros(1 << n)
     if v1 is v2:  # a reused chain state: the masses of zeros
         return masses
-    if v1.index is not None and v2.index is not None:
-        if v1.index != v2.index:  # +1 at one index and -1 at the other
-            masses[v1.index & ((1 << n) - 1)] += 1.0
-            masses[v2.index & ((1 << n) - 1)] += 1.0
+    if v1.index is not None and v2.index is not None:  # +1 at one index and -1 at the other
+        for index in (v1.index, v2.index) if v1.index != v2.index else ():
+            masses[index & ((1 << n) - 1)] += 1.0
         return masses
     s1, s2 = _support(v1), _support(v2)
     if s1 is not None and s2 is not None:
@@ -436,8 +441,6 @@ def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float
     if f.width != n or g.width != n:
         raise WidthMismatchError("oracle widths must match the query register")
     mask = f.values != g.values
-    if not mask.any():
-        return 0.0
     return float(np.sqrt(query_masses(state)[mask].sum()))
 
 
@@ -453,15 +456,7 @@ def readout_distribution(state: StateVector, positions) -> np.ndarray:
     support = _support(state)
     if support is None:
         return kernels.value_distribution(state.amplitudes, state.layout.total, bits)
-    idx, vals = support
-    k = len(bits)
-    if len(idx) == 1:  # one basic state (every index-form state): one bin, no label arrays
-        out, v = np.zeros(1 << k), complex(vals[0])
-        out[kernels.read_bits(int(idx[0]), bits)] = v.real * v.real + v.imag * v.imag
-        return out
-    # bincount over the ascending indices adds as the dense path does
-    return np.bincount(kernels.read_bits(idx, bits), weights=vals.real ** 2 + vals.imag ** 2,
-                       minlength=1 << k)
+    return _support_masses(support, lambda i: kernels.read_bits(i, bits), 1 << len(bits))
 
 
 def observe(state: StateVector, seed) -> BasisAssignment:

@@ -237,6 +237,24 @@ def test_flip_tables_step_index_and_support_as_the_permutation_kernel(placement)
         assert got_vals.tobytes() == amps[got_idx].tobytes(), (nbits, bits)
 
 
+@pytest.mark.parametrize("rows, perm", [
+    ([[0, 1], [1, 0]], [1, 0]),
+    ([[0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]], [1, 3, 0, 2]),
+    ([[1, 0], [1, 0]], None),                 # a repeated column, an empty one
+    ([[1, 0], [0, -1]], None),                # a nonzero other than 1
+    ([[1, 0], [0, 1j]], None),
+    ([[1, 1e-300], [0, 1]], None),            # a second nonzero in a row
+    ([[1, 0], [0, 0]], None),                 # an empty row
+    ([[0.5, 0.5], [0.5, -0.5]], None),        # stops at the first entry
+])
+def test_as_permutation_takes_only_exact_permutation_matrices(rows, perm):
+    got = kernels.as_permutation(np.array(rows, dtype=np.complex128))
+    assert (got is None) == (perm is None)
+    if perm is not None:
+        assert got.tolist() == perm
+        assert all(rows[got[j]][j] == 1 for j in range(len(perm)))
+
+
 def test_read_bits_of_no_bits_is_zero_of_the_index_shape():
     values = kernels.read_bits(np.arange(6, dtype=np.int64).reshape(2, 3), ())
     assert values.dtype == np.int64 and np.array_equal(values, np.zeros((2, 3)))

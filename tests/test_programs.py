@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import json
 import tracemalloc
 
@@ -14,8 +16,9 @@ from qqlab.programs import (QueryProgram, classical_emulation_program, initial_s
                             load_program, output_distribution, program_from_json,
                             program_to_json, random_program, run, run_final, save_program,
                             success_probability, truncate_after_query)
-from qqlab.qsim import (BasisAssignment, QubitLayout, StateVector, apply_round, basis_state,
-                        cnot_gate, l2_distance, query_mass, query_masses, random_gate)
+from qqlab.qsim import (BasisAssignment, LocalUnitary, QubitLayout, StateVector, apply_round,
+                        basis_state, cnot_gate, l2_distance, query_mass, query_masses, random_gate,
+                        x_gate)
 from qqlab.rng import as_generator, generator
 
 
@@ -73,6 +76,17 @@ class TestRun:
         with pytest.raises(LayoutMismatchError):
             run(prog, sample_uniform_oracle(3, 0), w("100"))
         run(prog, sample_uniform_oracle(3, 0), w("000"))  # all-zero input is fine
+
+
+def test_initial_state_is_the_word_on_the_first_working_qubits():
+    # the index form's shift equals the basic state set position by position
+    for tau, n in ((0, 1), (1, 2), (2, 2), (3, 3), (5, 2), (9, 4), (16, 4)):
+        lay = QubitLayout(tau, n)
+        for value in range(1 << n) if tau >= n else (0,):
+            bits = [0] * lay.total
+            bits[:n] = BitWord(n, value).bits
+            want = basis_state(lay, BasisAssignment(tuple(bits)))
+            assert initial_state(lay, BitWord(n, value)).index == want.index
 
 
 class TestClassicalEmulation:
@@ -432,21 +446,46 @@ class TestBasisIndexPath:
             assert kernels.read_bits(state.index, address) == (words[i] if i < T else 0)
 
     def test_flip_tables_are_found_once_per_gate_when_it_is_built(self, monkeypatch):
-        calls = []
+        # and each block's composed map once per block
+        calls, composed = [], []
 
         def counted(matrix, real=kernels.as_permutation):
             calls.append(1)
             return real(matrix)
 
+        def counted_tables(nbits, placed, real=kernels.affine_tables):
+            composed.append(1)
+            return real(nbits, placed)
+
         monkeypatch.setattr(kernels, "as_permutation", counted)
+        monkeypatch.setattr(kernels, "affine_tables", counted_tables)
         prog = classical_emulation_program(3, 3)
         assert len(calls) == len(list(prog.all_gates()))
+        assert len(composed) == len(prog.blocks)
         calls.clear()
+        composed.clear()
         rng = generator(33, "flip-tables", 0)
         for _ in range(17):
             f, x = sample_uniform_oracle(3, rng), BitWord(3, int(rng.integers(8)))
             assert success_probability(prog, f, x, iterate(f, x, 3)) == 1.0
-        assert calls == []
+        assert calls == [] and composed == []
+
+    def test_composed_maps_of_a_cap_sized_program_hold_a_few_tens_of_kb(self, monkeypatch):
+        # classical_emulation_program(4, 3), 24 qubits: 4 blocks of 3 tables
+        # of 256 int64 entries, 24 KiB of entries in all
+        monkeypatch.delenv("QQLAB_QUBIT_CAP", raising=False)
+        tracemalloc.start()
+        try:
+            prog = classical_emulation_program(4, 3)
+            held = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, kernels.__file__)])
+        finally:
+            tracemalloc.stop()
+        source, first = inspect.getsourcelines(kernels.affine_tables)
+        held = sum(s.size for s in held.statistics("lineno")
+                   if first <= s.traceback[0].lineno < first + len(source))
+        assert [len(t) for _, tables in prog.blocks for t in tables] == [256] * 12
+        assert 24 << 10 <= held <= 40 << 10, held
 
 
 ALL_FAMILIES = PERMUTATION_FAMILIES + ("random",)
@@ -456,18 +495,136 @@ ALL_FAMILIES = PERMUTATION_FAMILIES + ("random",)
 @pytest.mark.parametrize("from_json", [False, True])
 def test_every_gate_is_placed_with_its_bits_and_flip_table(family, from_json):
     # each block entry is the gate itself on its index bits with its flip
-    # table, found when the program is built (or read back from JSON)
+    # table, found when the program is built (or read back from JSON); every
+    # block of two or more gates of an emulation family carries its composed
+    # map, and no block of one X (concentrated) or of Haar gates does
     prog = build_program(family, 3, 3, None, 2, 5)
     if from_json:
         prog = program_from_json(program_to_json(prog))
     lay = prog.layout
-    assert [len(b) for b in prog.blocks] == [len(prog.prelude)] + [len(r) for r in prog.rounds]
-    for block, gates in zip(prog.blocks, (prog.prelude, *prog.rounds)):
-        for entry, u in zip(block, gates):
+    assert [len(placed) for placed, _ in prog.blocks] == \
+        [len(prog.prelude)] + [len(r) for r in prog.rounds]
+    for (placed, tables), gates in zip(prog.blocks, (prog.prelude, *prog.rounds)):
+        for entry, u in zip(placed, gates):
             bits = lay.index_bits(u.targets)
             assert entry == (bits, u, kernels.flip_table(bits, u.matrix))
             assert entry[1] is u
             assert (entry[2] is None) == (family == "random")
+        composed = family.endswith("emulation") and len(gates) > 1
+        assert (tables is not None) == composed
+        if composed:
+            assert tables == kernels.affine_tables(lay.total, placed)
+
+
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+_TOFFOLI = np.eye(8)[[0, 1, 2, 3, 4, 5, 7, 6]]
+
+
+def is_affine(perm):
+    """Whether a permutation of k-bit patterns is affine over GF(2), checked
+    on every pair: P[a ^ b] == P[a] ^ P[b] ^ P[0]."""
+    size = len(perm)
+    return all(perm[a ^ b] == perm[a] ^ perm[b] ^ perm[0] for a in range(size) for b in range(size))
+
+
+def affine_gate(total, rng):
+    """A random X, CNOT or SWAP on distinct random positions of a layout."""
+    a, b = (int(p) for p in rng.choice(total, size=2, replace=False))
+    return (x_gate(a), cnot_gate(a, b), LocalUnitary((a, b), _SWAP))[int(rng.integers(3))]
+
+
+def random_layout(total, rng):
+    n = int(rng.integers(1, total // 2 + 1))
+    return QubitLayout(total - 2 * n, n)
+
+
+def per_gate(block):
+    """The same gates without their composed map: the per-gate index path."""
+    return block[0], None
+
+
+class TestComposedBlocks:
+    """A block of two or more X, CNOT and SWAP gates steps an index-form
+    state by its composed map, which must send every index where the
+    per-gate path and the dense path send it; any other block keeps the
+    per-gate index path."""
+
+    @pytest.mark.parametrize("total", range(2, 15))
+    def test_composed_step_equals_the_per_gate_step_on_every_index(self, total):
+        # every index up to 12 qubits, 4096 random ones at 13 and 14
+        rng = generator(91, "composed-step", total)
+        for trial in range(8):
+            lay = random_layout(total, rng)
+            gates = [affine_gate(total, rng) for _ in range(int(rng.integers(2, 9)))]
+            block = qsim.gate_block(lay, gates)
+            assert block[1] is not None
+            assert len(block[1]) == -(-total // 8)
+            indices = range(lay.dim) if total <= 12 else rng.integers(0, lay.dim, size=4096)
+            for index in indices:
+                start = StateVector.basic(lay, int(index))
+                got = apply_round(start, None, block)
+                want = apply_round(start, None, per_gate(block))
+                assert got.index is not None and got.index == want.index, (total, index)
+
+    @pytest.mark.parametrize("total", [2, 5, 8, 9, 12, 14])
+    def test_composed_programs_match_the_dense_chain(self, total):
+        # programs of random X/CNOT/SWAP blocks, queries between them
+        rng = generator(91, "composed-dense", total)
+        for trial in range(4):
+            lay = random_layout(total, rng)
+            n = lay.query_width
+
+            def block():
+                return [affine_gate(total, rng) for _ in range(int(rng.integers(2, 7)))]
+
+            prog = QueryProgram(lay, block(), [block() for _ in range(3)], tuple(range(n)))
+            assert all(tables is not None for _, tables in prog.blocks)
+            f = sample_uniform_oracle(n, rng)
+            x = BitWord(n, int(rng.integers(1 << n)) if lay.work_count >= n else 0)
+            assert_matches_dense(prog, f, x)
+            assert all(s.index is not None for s in run(prog, f, x).states)
+
+    @pytest.mark.parametrize("odd", ["toffoli", "non-affine", "single"])
+    def test_other_blocks_keep_the_index_form_gate_by_gate(self, odd):
+        # a Toffoli, a random non-affine 3-target permutation among affine
+        # gates, or one gate alone: no composed map, yet the index form
+        rng = generator(91, f"no-composite-{odd}")
+        for trial in range(6):
+            total = int(rng.integers(4, 11))
+            lay = random_layout(total, rng)
+            targets = [int(p) for p in rng.choice(total, size=3, replace=False)]
+            if odd == "toffoli":
+                gates = [affine_gate(total, rng), LocalUnitary(targets, _TOFFOLI),
+                         affine_gate(total, rng)]
+            elif odd == "non-affine":
+                perm = rng.permutation(8)
+                while is_affine(perm):
+                    perm = rng.permutation(8)
+                gates = [affine_gate(total, rng), LocalUnitary(targets, np.eye(8)[:, perm])]
+            else:
+                gates = [affine_gate(total, rng)]
+            block = qsim.gate_block(lay, gates)
+            assert block[1] is None
+            for index in rng.integers(0, lay.dim, size=16):
+                start = StateVector.basic(lay, int(index))
+                got = apply_round(start, None, block)
+                want = apply_round(StateVector(lay, start.amplitudes), None, block)
+                assert got.index is not None
+                assert np.flatnonzero(want.amplitudes).tolist() == [got.index]
+
+    def test_affinity_is_tested_on_every_pattern(self):
+        # the placement's test agrees with the pairwise definition on every
+        # permutation of 2 targets and on 300 random ones of 3 and 4
+        rng = generator(91, "affinity", 0)
+        perms = [list(p) for p in itertools.permutations(range(4))]
+        perms += [list(rng.permutation(1 << k)) for k in (3, 4) for _ in range(150)]
+        perms += [[p ^ c for p in range(8)] for c in range(8)]  # X on some of 3 targets
+        for perm in perms:
+            k = len(perm).bit_length() - 1
+            lay = QubitLayout(k + 2, 1)
+            gate = LocalUnitary(range(k), np.eye(1 << k)[:, perm])
+            composed = qsim.gate_block(lay, [gate, gate])[1] is not None
+            assert composed == is_affine(perm), perm
 
 
 def with_haar_gates(prog, rng):

@@ -57,7 +57,7 @@ class TestLayout:
         lay = QubitLayout(2, 2)
         assert [lay.index_bit(p) for p in lay.address_positions] == [1, 0]
         assert [lay.index_bit(p) for p in lay.answer_positions] == [3, 2]
-        assert [lay.index_bit(p) for p in lay.work_positions] == [5, 4]
+        assert [lay.index_bit(p) for p in range(lay.work_count)] == [5, 4]
 
     def test_cap_enforced(self):
         with pytest.raises(CapExceededError):
@@ -89,7 +89,7 @@ class TestBasisState:
         lay = QubitLayout(2, 2)
         assign = BasisAssignment((1, 0, 1, 1, 0, 1))
         st_ = basis_state(lay, assign)
-        assert query_mass(st_, assign.address_word(lay)) == pytest.approx(1.0)
+        assert query_mass(st_, assign.word_at(lay.address_positions)) == pytest.approx(1.0)
 
     def test_wrong_length_rejected(self):
         with pytest.raises(LayoutMismatchError):
