@@ -16,8 +16,8 @@ from .analysis import (AdversaryTrace, BoundReport, GapReport, MassMatrix,
 from .harness import (CensusReport, ExperimentConfig, ExperimentReport,
                       adversary_success_rate, build_program, exact_census,
                       monte_carlo, wilson_interval)
-from .oracles import (BitWord, OracleTable, WordSet, all_oracles, diff_set,
-                      iterate, load_oracle, make_oracle, mutate, oracle_from_text,
+from .oracles import (BitWord, OracleTable, all_oracles, diff_set, iterate,
+                      load_oracle, make_oracle, mutate, oracle_from_text,
                       oracle_to_text, orbit, sample_uniform_oracle, save_oracle)
 from .programs import (QueryProgram, Trace, classical_emulation_program,
                        load_program, program_from_json, program_to_json,

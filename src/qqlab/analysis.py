@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import QqlabError, TraceNotSucceededError
-from .oracles import (BitWord, OracleTable, WordSet, _walk, iterate, mutate,
+from .oracles import (BitWord, OracleTable, _walk, diff_set, iterate, mutate,
                       sample_uniform_oracle)
 from .programs import QueryProgram, chain, initial_state
 from .qsim import (StateVector, apply_query, apply_round, difference_masses, l2_distance,
@@ -99,7 +99,7 @@ def lemma2_check(prog: QueryProgram, f: OracleTable, a: BitWord, y: BitWord,
     """Hybrid bound: a single-word mutation moves the final state by at most
     twice the summed root query masses on that word across the rounds."""
     g = mutate(f, a, y)
-    changed = f.values != g.values
+    changed = diff_set(f, g)
     # roots sums over the pre-query states.  The g-run is the f-run's own state
     # while every pre-query state so far carried no changed word (shared)
     roots, shared = 0, True
@@ -120,17 +120,20 @@ def lemma2_check(prog: QueryProgram, f: OracleTable, a: BitWord, y: BitWord,
 @dataclass(frozen=True)
 class AdversaryStep:
     """One entry of the inductive construction: state, oracle, candidate
-    set and pivot, plus the address-mass vector of the state for audit."""
+    set (a read-only bool mask over the 2**n words) and pivot, plus the
+    address-mass vector of the state for audit."""
 
     state: StateVector
     oracle: OracleTable
-    candidates: WordSet
+    candidates: np.ndarray
     pivot: BitWord
     masses: np.ndarray = field(compare=False)
 
 
 @dataclass
 class AdversaryTrace:
+    """The construction's steps; final_candidates is a read-only bool mask like each step's."""
+
     steps: list[AdversaryStep]
     T: int
     epsilon: float
@@ -138,7 +141,7 @@ class AdversaryTrace:
     threshold: float
     succeeded: bool
     exhausted_at: int | None = None
-    final_candidates: WordSet | None = None
+    final_candidates: np.ndarray | None = None
     final_value: BitWord | None = None
     pivot_mass_max: float | None = None
 
@@ -167,7 +170,8 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
     Starting from a uniformly sampled oracle and the all-zero input, each
     round is executed under the current oracle; words whose query mass in
     any state seen so far reaches 1/T**alpha are struck from the candidate
-    set, the next pivot is drawn uniformly from the survivors, and the
+    set (a read-only bool mask over the 2**n words; step 0's holds them all),
+    the next pivot is drawn uniformly from the survivors, and the
     oracle is redirected at the previous pivot to point at it.  (Striking
     words that are already heavy in the initial state is what guarantees
     the final pivot is light in *every* recorded state; see the ledger.)
@@ -185,18 +189,19 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
         raise ValueError(f"construction needs query count T-1 = {T - 1}, program has {t}")
     layout = prog.layout
     n = layout.query_width
-    size = 1 << n
     alpha, threshold = _alpha_threshold(T, epsilon)
     rng = as_generator(seed)
 
     f = sample_uniform_oracle(n, rng)
     zero = BitWord.zero(n)
-    full = WordSet(n, frozenset(range(size)))
+    full = np.ones(1 << n, dtype=bool)
+    full.flags.writeable = False
 
     state = apply_round(initial_state(layout, zero), None, prog.blocks[0])
     masses = query_masses(state)
     steps = [AdversaryStep(state, f, full, zero, masses)]
     available = masses < threshold
+    available.flags.writeable = False
 
     def fail(at: int) -> AdversaryTrace:
         return AdversaryTrace(steps, T, epsilon, alpha, threshold,
@@ -208,13 +213,12 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
         available = available & (masses < threshold)
         if not available.any():
             return fail(i + 1)
-        candidates = WordSet(n, frozenset(int(v) for v in np.nonzero(available)[0]))
+        available.flags.writeable = False
         pivot = BitWord(n, int(rng.choice(np.nonzero(available)[0])))
         f = mutate(steps[-1].oracle, steps[-1].pivot, pivot)
-        steps.append(AdversaryStep(state, f, candidates, pivot, masses))
+        steps.append(AdversaryStep(state, f, available, pivot, masses))
 
     survivors = np.nonzero(available)[0]
-    final_candidates = WordSet(n, frozenset(int(v) for v in survivors))
     choices = survivors[survivors != steps[-1].oracle.values[steps[-1].pivot.value]]
     if len(choices) == 0:
         return fail(t + 1)
@@ -226,7 +230,7 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
         raise QqlabError(  # construction guarantees this; reaching here is a bug
             f"pivot mass {pivot_mass_max} not below threshold {threshold}")
     return AdversaryTrace(steps, T, epsilon, alpha, threshold, succeeded=True,
-                          final_candidates=final_candidates, final_value=final_value,
+                          final_candidates=available, final_value=final_value,
                           pivot_mass_max=pivot_mass_max)
 
 
@@ -326,7 +330,7 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
             if primed is step.state:
                 fresh_from = i
             fresh_is_primed = not occupied_words(primed)[x_t.value]
-        changed = step.oracle.values != f_final.values
+        changed = diff_set(step.oracle, f_final)
         worst = float(step.masses[changed].max(initial=0.0))
         premise_masses.append(worst)
         premises.append(worst < threshold)

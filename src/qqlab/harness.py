@@ -37,7 +37,7 @@ from .analysis import (TOL, GapReport, _alpha_threshold, adversary_bound_report,
 from .errors import CapExceededError, ConfigError, InputError, WidthMismatchError
 from .oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
 from .programs import (QueryProgram, classical_emulation_program, initial_state,
-                       output_distribution, random_program, refuse_rounds, truncate_after_query)
+                       output_distribution, random_program, refuse_oversize, truncate_after_query)
 from .qsim import QubitLayout, StateVector, apply_round, occupied_words, x_gate
 from .rng import generator
 
@@ -208,7 +208,7 @@ def build_program(family: str, n: int, T: int, t: int | None,
     if family == "concentrated":
         # every pre-query state keeps its address register untouched, so all
         # query mass stays on the input word round after round
-        refuse_rounds(rounds, 180)  # measured: about 180 bytes a round
+        refuse_oversize(rounds, 180, "a program of {} rounds")  # measured: about 180 B a round
         layout = QubitLayout(max(tau_work, 1), n)
         flip = (x_gate(0),)
         return QueryProgram(layout, (), tuple(flip for _ in range(rounds)),
@@ -492,6 +492,7 @@ def exact_census(family, n: int, T: int, t: int | None = None,
     t = None if t is None else operator.index(t)
     if n > 2 and not allow_large:
         raise CapExceededError(f"census over 2**{n * 2 ** n} oracles needs allow_large=True")
+    refuse_oversize(2 ** (n * 2 ** n), 8, "a census of {} oracles")  # 8 B a probability
     if isinstance(family, QueryProgram):
         prog, family_name = family, "custom"
     else:

@@ -5,6 +5,7 @@ word is the most significant bit of the integer, so the word "110" encodes
 as 6.  An oracle is a total table mapping every one of the 2**n words to a
 word of the same width.  Oracles are immutable; mutation returns a fresh
 table.  `iterate` and `orbit` read one walk, cut at the first repeated word.
+A set of words, such as `diff_set`'s, is a read-only bool mask over the 2**n words.
 """
 
 from __future__ import annotations
@@ -96,37 +97,6 @@ class OracleTable:
         return hash((self.width, self.values.tobytes()))
 
 
-@dataclass(frozen=True)
-class WordSet:
-    """A duplicate-free set of words sharing one width."""
-
-    width: int
-    values: frozenset[int]
-
-    @classmethod
-    def of(cls, words: Iterable[BitWord]) -> "WordSet":
-        words = list(words)
-        if not words:
-            raise WidthMismatchError("cannot infer width of an empty word set")
-        width = words[0].width
-        if any(w.width != width for w in words):
-            raise WidthMismatchError("word set members must share one width")
-        return cls(width, frozenset(w.value for w in words))
-
-    @property
-    def members(self) -> list[BitWord]:
-        return [BitWord(self.width, v) for v in sorted(self.values)]
-
-    def __contains__(self, word: BitWord) -> bool:
-        return word.width == self.width and word.value in self.values
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[BitWord]:
-        return iter(self.members)
-
-
 def make_oracle(n: int, entries: list[BitWord]) -> OracleTable:
     """Build a table from an explicit list of 2**n output words."""
     if len(entries) != 1 << n:
@@ -189,12 +159,13 @@ def mutate(f: OracleTable, x: BitWord, y: BitWord) -> OracleTable:
     return OracleTable(f.width, values)
 
 
-def diff_set(f: OracleTable, g: OracleTable) -> WordSet:
-    """Exactly the words on which the two tables disagree."""
+def diff_set(f: OracleTable, g: OracleTable) -> np.ndarray:
+    """Exactly the words on which the two tables disagree, as a read-only bool mask."""
     if f.width != g.width:
         raise WidthMismatchError("oracles have different widths")
-    idx = np.nonzero(f.values != g.values)[0]
-    return WordSet(f.width, frozenset(int(i) for i in idx))
+    mask = f.values != g.values
+    mask.flags.writeable = False
+    return mask
 
 
 def all_oracles(n: int) -> Iterator[OracleTable]:

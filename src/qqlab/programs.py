@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LayoutMismatchError, WidthMismatchError
+from .errors import InputError, LayoutMismatchError, WidthMismatchError
 from .oracles import BitWord, OracleTable
 from .qsim import (LocalUnitary, QubitLayout, StateVector, _admit, _haar_stack,
                    apply_round, cnot_gate, gate_block, readout_distribution)
@@ -152,10 +152,11 @@ def classical_emulation_program(n: int, T: int) -> QueryProgram:
     return QueryProgram(layout, tuple(prelude), tuple(rounds), reg[T])
 
 
-def refuse_rounds(rounds: int, round_bytes: int) -> None:
-    """Raise MemoryError, before anything is drawn, for rounds physical memory cannot hold."""
-    if rounds * round_bytes > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise MemoryError(f"a program of {rounds} rounds ({round_bytes} B each) exceeds memory")
+def refuse_oversize(count: int, each: int, what: str) -> None:
+    """Raise MemoryError, before anything is drawn, for `count` items of `each` bytes that
+    physical memory cannot hold; `what` names them, with "{}" for the count."""
+    if count * each > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise MemoryError(f"{what.format(count)} ({each} B each) exceeds memory")
 
 
 def random_program(n: int, work_qubits: int, t: int, seed) -> QueryProgram:
@@ -163,7 +164,7 @@ def random_program(n: int, work_qubits: int, t: int, seed) -> QueryProgram:
     in the prelude and in every round.  Per block (prelude, rounds 1..t): the gate
     count, then per gate k, the targets (`rng.choice`, no replacement), the real
     and then imaginary Ginibre part, as `random_gate` draws; one QR per size."""
-    refuse_rounds(t, 3000)  # measured: about 3 KB a round at the build's peak
+    refuse_oversize(t, 3000, "a program of {} rounds")  # measured: 3 KB a round at its peak
     rng = as_generator(seed)
     layout = QubitLayout(work_qubits, n)
     blocks, draws = [], {1: [], 2: []}  # (targets, place in draws[k]) per gate
@@ -203,7 +204,7 @@ def _gate_from_obj(obj: dict) -> LocalUnitary:
     d = 1 << len(targets)
     flat = obj["matrix"]
     if len(flat) != d * d:
-        raise ValueError(f"gate matrix must have {d * d} entries, got {len(flat)}")
+        raise InputError(f"gate matrix must have {d * d} entries, got {len(flat)}")
     m = np.array([complex(re, im) for re, im in flat], dtype=np.complex128).reshape(d, d)
     return LocalUnitary(targets, m)
 
@@ -220,14 +221,18 @@ def program_to_json(prog: QueryProgram) -> str:
     return json.dumps(obj, indent=1)
 
 
-def program_from_json(text: str) -> QueryProgram:
-    obj = json.loads(text)
-    if obj.get("format") != "qqlab-program-v1":
-        raise ValueError(f"unknown program format {obj.get('format')!r}")
-    layout = QubitLayout(obj["layout"]["work_count"], obj["layout"]["query_width"])
-    prelude = tuple(_gate_from_obj(g) for g in obj["prelude"])
-    rounds = tuple(tuple(_gate_from_obj(g) for g in rnd) for rnd in obj["rounds"])
-    return QueryProgram(layout, prelude, rounds, tuple(obj["output_region"]))
+def program_from_json(text: str | bytes) -> QueryProgram:
+    """A program from a file's text or UTF-8 bytes; a malformed file raises InputError."""
+    try:
+        obj = json.loads(text)
+        if obj.get("format") != "qqlab-program-v1":
+            raise InputError(f"unknown program format {obj.get('format')!r}")
+        layout = QubitLayout(obj["layout"]["work_count"], obj["layout"]["query_width"])
+        prelude = tuple(_gate_from_obj(g) for g in obj["prelude"])
+        rounds = tuple(tuple(_gate_from_obj(g) for g in rnd) for rnd in obj["rounds"])
+        return QueryProgram(layout, prelude, rounds, tuple(obj["output_region"]))
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, AttributeError) as e:
+        raise InputError(f"malformed program file: {e!r}") from None
 
 
 def save_program(prog: QueryProgram, path) -> None:
@@ -236,5 +241,5 @@ def save_program(prog: QueryProgram, path) -> None:
 
 
 def load_program(path) -> QueryProgram:
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         return program_from_json(fh.read())

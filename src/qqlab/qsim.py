@@ -47,7 +47,7 @@ from . import kernels
 from .errors import (CapExceededError, DuplicateTargetError, InputError,
                      LayoutMismatchError, NonUnitaryError, NotNormalizedError,
                      TargetOutOfRangeError, WidthMismatchError)
-from .oracles import BitWord, OracleTable
+from .oracles import BitWord, OracleTable, diff_set
 from .rng import as_generator
 
 DEFAULT_QUBIT_CAP = 24
@@ -440,8 +440,7 @@ def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float
     n = state.layout.query_width
     if f.width != n or g.width != n:
         raise WidthMismatchError("oracle widths must match the query register")
-    mask = f.values != g.values
-    return float(np.sqrt(query_masses(state)[mask].sum()))
+    return float(np.sqrt(query_masses(state)[diff_set(f, g)].sum()))
 
 
 def l2_distance(v1: StateVector, v2: StateVector) -> float:

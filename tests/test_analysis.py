@@ -121,7 +121,9 @@ class TestBuildHardOracle:
         assert trace.succeeded and trace.t == 0
         assert len(trace.steps) == 1
         assert trace.steps[0].pivot == w("000")
-        assert len(trace.final_candidates) == 7  # the input word was struck
+        assert trace.steps[0].candidates.sum() == 8  # step 0's set holds every word
+        # the input word was struck
+        assert trace.final_candidates.sum() == 7 and not trace.final_candidates[0]
         assert trace.final_value is not None
 
     def test_concentrated_program_always_succeeds(self):
@@ -130,7 +132,8 @@ class TestBuildHardOracle:
             prog = concentrated_program(3, T - 1)
             trace = build_hard_oracle(prog, T, 1.0, 21 + T)
             assert trace.succeeded
-            assert all(len(s.candidates) >= 7 for s in trace.steps[1:])
+            for s in trace.steps[1:]:
+                assert s.candidates.sum() == 7 and not s.candidates[w("000").value]
             assert trace.steps[-1].pivot != w("000")
 
     def test_uniform_mass_exhausts(self):
@@ -165,9 +168,25 @@ class TestBuildHardOracle:
         assert trace.succeeded
         sets = [s.candidates for s in trace.steps[1:]]
         for a, b in zip(sets, sets[1:]):
-            assert b.values <= a.values
+            assert not (b & ~a).any()
         for s in trace.steps[1:]:
-            assert s.pivot in s.candidates
+            assert s.candidates[s.pivot.value]
+
+    @pytest.mark.parametrize("T", [1, 2, 3])
+    def test_candidate_sets_are_read_only_masks_of_the_light_words(self, T):
+        # step i's set is the words below the threshold in every state 0..i;
+        # step 0's holds every word, and the final set is the last step's
+        prog = truncate_after_query(classical_emulation_program(3, 3), T - 1)
+        trace = build_hard_oracle(prog, T, 1.0, 9)
+        assert trace.succeeded
+        light = np.ones(8, dtype=bool)
+        for i, s in enumerate(trace.steps):
+            assert s.candidates.dtype == bool and s.candidates.shape == (8,)
+            assert not s.candidates.flags.writeable
+            light &= s.masses < trace.threshold
+            assert np.array_equal(s.candidates, light if i else np.ones(8, dtype=bool))
+        assert not trace.final_candidates.flags.writeable
+        assert np.array_equal(trace.final_candidates, light)
 
     def test_deterministic(self):
         prog = truncate_after_query(classical_emulation_program(3, 3), 2)

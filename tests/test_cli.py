@@ -100,6 +100,12 @@ class TestInputErrors:
         self.assert_input_error(["iterate", "--oracle", str(path), "--x", "00", "--k", "1"],
                                 capsys)
 
+    def test_oracle_file_rows_out_of_order(self, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_text("n=2\n01 10\n00 01\n10 11\n11 00\n")
+        assert cli_main(["iterate", "--oracle", str(path), "--x", "00", "--k", "1"]) == 2
+        assert capsys.readouterr().err == "error: line 2: rows must be in ascending x order\n"
+
     def test_oracle_file_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "f.txt"
         path.write_bytes(b"n=1\n0 1\n1 0\xff\n")
@@ -215,6 +221,18 @@ class TestProgramTooLargeForMemory:
         out, err = capsys.readouterr()
         assert out == "" and len(err.splitlines()) == 1
         assert re.fullmatch(rf"error: a program of {rounds} rounds .*", err.strip())
+
+    def test_a_census_that_cannot_be_held_exits_two_at_once(self, capsys):
+        # 2**64 oracles at 8 B a probability: far beyond the patched 1 GiB, and
+        # beyond any machine's memory, so the walk over them never starts
+        started = time.perf_counter()
+        with address_space_cap(1 << 30):
+            assert cli_main(["census", "--family", "classical-emulation", "--n", "4",
+                             "--T", "1", "--allow-large"]) == 2
+        assert time.perf_counter() - started < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: a census of {1 << 64} oracles (8 B each) "
+                                     "exceeds memory\n")
 
     def test_a_long_program_that_fits_is_built(self, monkeypatch, capsys):
         assert cli_main(["lemma2", "--n", "2", "--t", "1000", "--trials", "1"]) == 0

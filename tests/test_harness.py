@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from qqlab import harness, kernels
-from qqlab.errors import CapExceededError, ConfigError, InputError
+from qqlab.errors import CapExceededError, ConfigError, InputError, WidthMismatchError
 from qqlab.harness import (CSV_SCHEMA, FAMILIES, ExperimentConfig, ExperimentReport,
                            adversary_success_rate, build_program, exact_census,
                            monte_carlo, wilson_interval)
 from qqlab.oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
-from qqlab.programs import success_probability
-from qqlab.qsim import StateVector
+from qqlab.programs import QueryProgram, success_probability
+from qqlab.qsim import QubitLayout, StateVector
 from qqlab.rng import generator
 
 
@@ -256,6 +256,27 @@ class TestCensus:
     def test_census_gate(self):
         with pytest.raises(CapExceededError):
             exact_census("classical-emulation", 3, 2)
+        with pytest.raises(ConfigError, match="use exact_census"):
+            monte_carlo(ExperimentConfig(kind="census", n=2, T=3))
+
+    def test_a_census_that_cannot_be_held_is_refused_before_any_work(self, monkeypatch):
+        def walked(*args):
+            raise AssertionError("the census went on to its work")
+        monkeypatch.setattr(harness, "_success_walk", walked)
+        monkeypatch.setattr(harness, "build_program", walked)
+        with pytest.raises(MemoryError, match=f"a census of {1 << 64} oracles"):
+            exact_census("classical-emulation", 4, 1, allow_large=True)
+        with pytest.raises(MemoryError, match=f"a census of {1 << 64} oracles"):
+            exact_census(QueryProgram(QubitLayout(0, 4), (), (), range(4)), 4, 1,
+                         allow_large=True)
+        # n = 3 holds 2**24 probabilities (128 MiB): it goes on to build and walk
+        with pytest.raises(AssertionError, match="went on to its work"):
+            exact_census("classical-emulation", 3, 2, allow_large=True)
+
+    def test_custom_program_output_region_must_be_a_query_word(self):
+        prog = QueryProgram(QubitLayout(1, 2), (), (), (0,))
+        with pytest.raises(WidthMismatchError, match="output region size 1 != 2"):
+            exact_census(prog, 2, 1)
 
     def test_census_files(self, tmp_path):
         rep = exact_census("classical-emulation", 1, 2)

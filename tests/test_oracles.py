@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qqlab.errors import LengthMismatchError, WidthMismatchError
-from qqlab.oracles import (BitWord, OracleTable, WordSet, all_oracles, diff_set, iterate,
+from qqlab.errors import InputError, LengthMismatchError, WidthMismatchError
+from qqlab.oracles import (BitWord, OracleTable, all_oracles, diff_set, iterate,
                            load_oracle, make_oracle, mutate, oracle_from_text,
                            oracle_to_text, orbit, sample_uniform_oracle, save_oracle)
 from qqlab.rng import generator
@@ -56,6 +56,9 @@ class TestMakeOracle:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             make_oracle(2, [w("00")] * 3)
+        for values in ([0, 1, 2], [0, 1, 2, 3, 0], [[0, 1], [2, 3]]):
+            with pytest.raises(LengthMismatchError, match="must have 4 entries"):
+                OracleTable(2, values)
 
     def test_constructor_leaves_the_callers_array_alone(self):
         v = np.array([1, 0, 3, 2], dtype=np.int64)
@@ -184,7 +187,7 @@ class TestMutate:
     def test_noop_mutation(self):
         f = sample_uniform_oracle(2, 3)
         g = mutate(f, w("01"), f(w("01")))
-        assert len(diff_set(f, g)) == 0
+        assert not diff_set(f, g).any()
         assert f == g
 
     def test_explicit(self):
@@ -198,7 +201,7 @@ class TestMutate:
         if f(x) == y:
             y = w("000") if f(x) != w("000") else w("001")
         g = mutate(f, x, y)
-        assert diff_set(f, g).members == [x]
+        assert np.flatnonzero(diff_set(f, g)).tolist() == [x.value]
 
     def test_never_aliases(self):
         f = sample_uniform_oracle(2, 8)
@@ -210,29 +213,30 @@ class TestMutate:
 class TestDiffSet:
     def test_equal_tables(self):
         f = sample_uniform_oracle(2, 1)
-        assert len(diff_set(f, f)) == 0
+        assert diff_set(f, f).sum() == 0
 
     def test_identity_vs_not(self):
         ident = make_oracle(1, [w("0"), w("1")])
         flip = make_oracle(1, [w("1"), w("0")])
-        assert diff_set(ident, flip).members == [w("0"), w("1")]
+        assert diff_set(ident, flip).tolist() == [True, True]
 
     def test_empty_iff_identical(self):
         f = sample_uniform_oracle(2, 10)
         g = mutate(f, w("01"), BitWord(2, (f(w("01")).value + 1) % 4))
-        assert len(diff_set(f, g)) == 1
-        assert len(diff_set(f, f)) == 0
+        assert diff_set(f, g).sum() == 1
+        assert diff_set(f, f).sum() == 0
 
+    def test_is_a_read_only_mask_over_every_word(self):
+        f, g = sample_uniform_oracle(3, 1), sample_uniform_oracle(3, 2)
+        mask = diff_set(f, g)
+        assert mask.dtype == bool and mask.shape == (8,)
+        assert mask.tolist() == [f(BitWord(3, x)) != g(BitWord(3, x)) for x in range(8)]
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0] = not mask[0]
 
-class TestWordSet:
-    def test_common_width_enforced(self):
-        with pytest.raises(WidthMismatchError):
-            WordSet.of([w("01"), w("0")])
-
-    def test_members_sorted_unique(self):
-        s = WordSet.of([w("10"), w("01"), w("10")])
-        assert s.members == [w("01"), w("10")]
-        assert w("10") in s and w("11") not in s
+    def test_widths_must_match(self):
+        with pytest.raises(WidthMismatchError, match="different widths"):
+            diff_set(sample_uniform_oracle(2, 1), sample_uniform_oracle(3, 1))
 
 
 class TestAllOracles:
@@ -269,3 +273,5 @@ class TestOracleFiles:
             oracle_from_text("hello\n")
         with pytest.raises(LengthMismatchError):
             oracle_from_text("n=1\n0 1\n")
+        with pytest.raises(InputError, match="line 2: rows must be in ascending x order"):
+            oracle_from_text("n=1\n1 0\n0 1\n")

@@ -1,14 +1,16 @@
 import inspect
 import itertools
 import json
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from qqlab import kernels, qsim
-from qqlab.errors import (CapExceededError, DuplicateTargetError, LayoutMismatchError,
-                          NonUnitaryError, TargetOutOfRangeError, WidthMismatchError)
+from qqlab.errors import (CapExceededError, DuplicateTargetError, InputError,
+                          LayoutMismatchError, NonUnitaryError, TargetOutOfRangeError,
+                          WidthMismatchError)
 from qqlab.harness import build_program
 from qqlab.oracles import (BitWord, all_oracles, iterate, make_oracle,
                            mutate, orbit, sample_uniform_oracle)
@@ -300,6 +302,32 @@ class TestProgramFiles:
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):
             program_from_json('{"format": "nope"}')
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda obj: obj.pop("layout"), "malformed program file: KeyError('layout')"),
+        (lambda obj: obj["prelude"][0].pop("matrix"), "malformed program file: KeyError('matrix')"),
+        (lambda obj: obj["layout"].update(work_count="2"), "malformed program file: TypeError"),
+        (lambda obj: obj.update(rounds=[[[1, 2]]]), "malformed program file: TypeError"),
+        (lambda obj: obj["rounds"][0][0]["matrix"].pop(),
+         "gate matrix must have 16 entries, got 15"),
+    ], ids=["no-layout", "no-matrix", "string-width", "gate-not-an-object", "matrix-size"])
+    def test_a_file_of_another_shape_is_an_input_error(self, change, message):
+        obj = json.loads(program_to_json(classical_emulation_program(1, 1)))
+        change(obj)
+        with pytest.raises(InputError, match=re.escape(message)):
+            program_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"qqlab-program-v1"', "{", ""])
+    def test_text_that_is_no_json_object_is_an_input_error(self, text):
+        with pytest.raises(InputError, match="malformed program file"):
+            program_from_json(text)
+
+    def test_a_file_that_is_not_utf8_is_an_input_error(self, tmp_path):
+        path = tmp_path / "prog.json"
+        path.write_bytes(program_to_json(classical_emulation_program(1, 1)).encode()
+                         .replace(b'"prelude"', b'"prel\xffude"'))
+        with pytest.raises(InputError, match="UnicodeDecodeError"):
+            load_program(path)
 
     def test_rejects_a_non_finite_matrix_entry(self):
         obj = json.loads(program_to_json(classical_emulation_program(1, 1)))

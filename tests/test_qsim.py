@@ -63,6 +63,13 @@ class TestLayout:
         with pytest.raises(CapExceededError):
             QubitLayout(1, 12)  # 25 qubits > default 24
 
+    @pytest.mark.parametrize("work, width, message", [
+        (0, 0, "query width must be >= 1"), (1, -1, "query width must be >= 1"),
+        (-1, 2, "working qubit count must be >= 0")])
+    def test_widths_must_not_be_negative(self, work, width, message):
+        with pytest.raises(WidthMismatchError, match=message):
+            QubitLayout(work, width)
+
     def test_cap_override(self, monkeypatch):
         monkeypatch.setenv("QQLAB_QUBIT_CAP", "26")
         assert QubitLayout(1, 12).total == 25
