@@ -211,10 +211,11 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
         state = apply_round(state, steps[-1].oracle, prog.blocks[i + 1])
         masses = query_masses(state)
         available = available & (masses < threshold)
-        if not available.any():
+        survivors = np.nonzero(available)[0]
+        if len(survivors) == 0:
             return fail(i + 1)
         available.flags.writeable = False
-        pivot = BitWord(n, int(rng.choice(np.nonzero(available)[0])))
+        pivot = BitWord(n, int(survivors[rng.integers(len(survivors))]))  # rng.choice's draw
         f = mutate(steps[-1].oracle, steps[-1].pivot, pivot)
         steps.append(AdversaryStep(state, f, available, pivot, masses))
 
@@ -222,7 +223,7 @@ def build_hard_oracle(prog: QueryProgram, T: int, epsilon: float, seed) -> Adver
     choices = survivors[survivors != steps[-1].oracle.values[steps[-1].pivot.value]]
     if len(choices) == 0:
         return fail(t + 1)
-    final_value = BitWord(n, int(rng.choice(choices)))
+    final_value = BitWord(n, int(choices[rng.integers(len(choices))]))
 
     x_t = steps[-1].pivot
     pivot_mass_max = max(float(s.masses[x_t.value]) for s in steps)
@@ -489,8 +490,8 @@ def pigeonhole_mutation_check(prog: QueryProgram, f: OracleTable, T: int,
     word = m.words[j_star]
     rng = as_generator(seed)
     current = int(f.values[word.value])
-    others = np.setdiff1d(np.arange(1 << f.width), [current])
-    fresh = BitWord(f.width, int(rng.choice(others)))
+    r = int(rng.integers((1 << f.width) - 1))  # rng.choice's draw from the other words
+    fresh = BitWord(f.width, r + (r >= current))
     g = mutate(f, word, fresh)
 
     if occupied[word.value]:

@@ -6,6 +6,9 @@ as 6.  An oracle is a total table mapping every one of the 2**n words to a
 word of the same width.  Oracles are immutable; mutation returns a fresh
 table.  `iterate` and `orbit` read one walk, cut at the first repeated word.
 A set of words, such as `diff_set`'s, is a read-only bool mask over the 2**n words.
+`OracleTable(n, values)`, `make_oracle` and the file readers check every entry;
+the tables this module draws, edits or enumerates from values already in range
+take the unchecked `OracleTable._trusted`, which no other module may call.
 """
 
 from __future__ import annotations
@@ -83,6 +86,14 @@ class OracleTable:
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
+    @classmethod
+    def _trusted(cls, width: int, values: np.ndarray) -> "OracleTable":
+        """No copy, no check: `values` is a fresh int64 array of 2**width entries in range."""
+        values.flags.writeable = False
+        table = object.__new__(cls)
+        table.__dict__.update(width=width, values=values)  # past the frozen __setattr__
+        return table
+
     def __call__(self, x: BitWord) -> BitWord:
         if x.width != self.width:
             raise WidthMismatchError(f"word width {x.width} != oracle width {self.width}")
@@ -110,7 +121,7 @@ def make_oracle(n: int, entries: list[BitWord]) -> OracleTable:
 def sample_uniform_oracle(n: int, seed) -> OracleTable:
     """Draw each of the 2**n table entries independently and uniformly."""
     rng = as_generator(seed)
-    return OracleTable(n, rng.integers(0, 1 << n, size=1 << n, dtype=np.int64))
+    return OracleTable._trusted(n, rng.integers(0, 1 << n, size=1 << n, dtype=np.int64))
 
 
 def _walk(f: OracleTable, x: BitWord, length: int) -> tuple[list[int], int | None]:
@@ -156,7 +167,7 @@ def mutate(f: OracleTable, x: BitWord, y: BitWord) -> OracleTable:
         raise WidthMismatchError("mutation words must match oracle width")
     values = f.values.copy()
     values[x.value] = y.value
-    return OracleTable(f.width, values)
+    return OracleTable._trusted(f.width, values)
 
 
 def diff_set(f: OracleTable, g: OracleTable) -> np.ndarray:
@@ -171,7 +182,7 @@ def diff_set(f: OracleTable, g: OracleTable) -> np.ndarray:
 def all_oracles(n: int) -> Iterator[OracleTable]:
     """Every table of width n, in lexicographic table order (2**(n*2**n) of them)."""
     for values in itertools.product(range(1 << n), repeat=1 << n):
-        yield OracleTable(n, values)
+        yield OracleTable._trusted(n, np.array(values, dtype=np.int64))
 
 
 def oracle_to_text(f: OracleTable) -> str:

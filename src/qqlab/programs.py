@@ -205,6 +205,8 @@ def _gate_from_obj(obj: dict) -> LocalUnitary:
     flat = obj["matrix"]
     if len(flat) != d * d:
         raise InputError(f"gate matrix must have {d * d} entries, got {len(flat)}")
+    if any(len(z) != 2 for z in flat):
+        raise InputError("each gate matrix entry must be an [re, im] pair")
     m = np.array([complex(re, im) for re, im in flat], dtype=np.complex128).reshape(d, d)
     return LocalUnitary(targets, m)
 

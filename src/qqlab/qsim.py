@@ -21,14 +21,15 @@ nonzero amplitudes and those amplitudes.  Only this module reads a state's
 form, and `apply_round` alone chooses it: a basic input keeps its index
 through queries and 0/1 permutation gates (a block of 2+ gates with affine
 flip tables by one composed map), and a support is kept while it stays small.
-Every reader (masses, distances, readouts, samples, dumps, the words a state
-occupies) has one branch for a state not held dense, which sees an index-form
-state as a support of one, and gives the dense path's bits, so compared states
-may be in different forms.  Every per-word mass, norm and distance follows one
-rule: a word's mass is its squares added in flat index order (`query_masses`),
-and a norm or distance is the root of the summed masses, which no BLAS thread
-count moves.  Chain states equal the dense path's byte for byte: they start
-from a basis state, and no dense gate's product wrote -0.0 (OpenBLAS 0.3.31).
+Readers read an index-form state off its index (one bin of 1.0, one True; 0.0
+or sqrt(2) apart), any other state not held dense through one bincount over its
+support (samples, dumps and mixed-form differences see an index as a support of
+one), and give the dense path's bits, so compared states may be in different
+forms.  Every per-word mass, norm and distance follows one rule: a word's mass
+is its squares added in flat index order (`query_masses`), and a norm or
+distance is the root of the summed masses, which no BLAS thread count moves.
+Chain states equal the dense path's byte for byte: they start from a basis
+state, and no dense gate's product wrote -0.0 (OpenBLAS 0.3.31).
 `occupied_words` says which address words carry a nonzero amplitude: a round
 under g from a state that carries no word where f and g differ equals the
 round under f in that same sense, so a caller may reuse it.
@@ -38,6 +39,7 @@ QQLAB_QUBIT_CAP overrides it with any integer of at least 2.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -104,7 +106,7 @@ class QubitLayout:
     def index_bit(self, position: int) -> int:
         """Flat-index bit occupied by a qubit position."""
         tau, n = self.work_count, self.query_width
-        if not 0 <= position < self.total:
+        if not 0 <= operator.index(position) < self.total:
             raise TargetOutOfRangeError(f"position {position} outside 0..{self.total - 1}")
         if position < tau:
             return 2 * n + (tau - 1 - position)
@@ -195,11 +197,11 @@ class StateVector:
 
 _UNIT = np.ones(1, dtype=np.complex128)
 _UNIT.flags.writeable = False
+_ROOT2 = float(np.sqrt(2.0))  # the distance between two basic states
 
 
 def _support(state: StateVector):
-    """(indices, amplitudes) of a state not held dense, an index-form state
-    as a support of one; None for a dense state."""
+    """(indices, amplitudes) of a state not held dense, an index as a support of one; else None."""
     if state.index is not None:
         return np.array([state.index], dtype=np.int64), _UNIT
     return state._support
@@ -214,7 +216,7 @@ def _scattered(size: int, support) -> np.ndarray:
 
 
 def _gate_targets(targets) -> tuple[int, ...]:
-    targets = tuple(int(t) for t in targets)
+    targets = tuple(map(operator.index, targets))
     if len(set(targets)) != len(targets):
         raise DuplicateTargetError(f"duplicate gate targets {targets}")
     if not targets:
@@ -353,21 +355,25 @@ def apply_query(state: StateVector, f: OracleTable) -> StateVector:
 def query_masses(vector: StateVector) -> np.ndarray:
     """Mass on every address word at once (length 2**n array)."""
     n = vector.layout.query_width
-    support = _support(vector)
-    if support is None:
+    if vector.index is None and vector._support is None:
         return kernels.address_masses(vector.amplitudes, n)
-    return _support_masses(support, lambda i: i & ((1 << n) - 1), 1 << n)
+    return _binned(vector, lambda i: i & ((1 << n) - 1), 1 << n)
 
 
-def _support_masses(support, label, size: int) -> np.ndarray:
-    """A support's squares added per label(index), as the dense sums add in
-    flat index order: a bincount over the ascending indices (the zeros left
-    out add nothing), or one bin for one entry (every index-form state)."""
-    idx, vals = support
-    if len(idx) == 1:
-        out, v = np.zeros(size), complex(vals[0])
-        out[label(int(idx[0]))] = v.real * v.real + v.imag * v.imag
-        return out
+def _one_hot(size: int, at, dtype) -> np.ndarray:
+    """Zeros of `size` with a one (1.0 or True) at `at`, an index or an index array."""
+    out = np.zeros(size, dtype=dtype)
+    out[at] = 1
+    return out
+
+
+def _binned(state: StateVector, label, size: int) -> np.ndarray:
+    """Per label(index) of a state not held dense: an index-form state's one 1.0,
+    or a support's squares added by one bincount over its ascending indices, as
+    the dense sums add in flat index order (the zeros left out add nothing)."""
+    if state.index is not None:
+        return _one_hot(size, label(state.index), float)
+    idx, vals = state._support
     return np.bincount(label(idx), weights=vals.real ** 2 + vals.imag ** 2, minlength=size)
 
 
@@ -379,12 +385,11 @@ def occupied_words(state: StateVector) -> np.ndarray:
     under either moves every nonzero amplitude alike, so a round under g
     equals the round under f value for value (only zeros may differ in sign)."""
     n = state.layout.query_width
-    support = _support(state)
-    if support is None:  # one bool per amplitude, no complex temporary
+    if state.index is not None:
+        return _one_hot(1 << n, state.index & ((1 << n) - 1), bool)
+    if state._support is None:  # one bool per amplitude, no complex temporary
         return (state.amplitudes.reshape(-1, 1 << n) != 0).any(axis=0)
-    occupied = np.zeros(1 << n, dtype=bool)
-    occupied[support[0] & ((1 << n) - 1)] = True
-    return occupied
+    return _one_hot(1 << n, state._support[0] & ((1 << n) - 1), bool)
 
 
 def query_mass(vector: StateVector, a: BitWord) -> float:
@@ -445,17 +450,18 @@ def oracle_distance(state: StateVector, f: OracleTable, g: OracleTable) -> float
 
 def l2_distance(v1: StateVector, v2: StateVector) -> float:
     """Euclidean distance, the `norm` of v1 - v2: the root of the summed
-    `difference_masses`, with the same bits in any pair of forms."""
-    return float(np.sqrt(difference_masses(v1, v2).sum()))
+    `difference_masses`, with the same bits in any pair of forms (two indices: 0.0 or sqrt(2))."""
+    if v1.index is None or v2.index is None or v1.layout != v2.layout:
+        return float(np.sqrt(difference_masses(v1, v2).sum()))
+    return 0.0 if v1.index == v2.index else _ROOT2
 
 
 def readout_distribution(state: StateVector, positions) -> np.ndarray:
     """Probability of each value read MSB first off the given qubit positions."""
     bits = state.layout.index_bits(positions)
-    support = _support(state)
-    if support is None:
+    if state.index is None and state._support is None:
         return kernels.value_distribution(state.amplitudes, state.layout.total, bits)
-    return _support_masses(support, lambda i: kernels.read_bits(i, bits), 1 << len(bits))
+    return _binned(state, lambda i: kernels.read_bits(i, bits), 1 << len(bits))
 
 
 def observe(state: StateVector, seed) -> BasisAssignment:

@@ -457,6 +457,54 @@ def adversary_program(family, n, T, seed):
 ADVERSARY_CASES = [(1, 2, 3), (2, 2, 3), (2, 3, 3), (2, 4, 2), (3, 3, 2)]
 
 
+def chosen_hard_oracle(prog, T, epsilon, rng):
+    """The construction's draws stepped round by round, each pivot and the
+    final value drawn with `rng.choice` over the surviving words: the pivots,
+    the oracles, the final value (None if a set emptied) and the emptying step."""
+    n = prog.layout.query_width
+    threshold = float(T) ** -(5.0 + epsilon / 2.0)
+    oracles, pivots = [sample_uniform_oracle(n, rng)], [0]
+    state = qsim.apply_round(initial_state(prog.layout, BitWord.zero(n)), None, prog.blocks[0])
+    available = query_masses(state) < threshold
+    for i, block in enumerate(prog.blocks[1:]):
+        state = qsim.apply_round(state, oracles[-1], block)
+        available &= query_masses(state) < threshold
+        if not available.any():
+            return pivots, oracles, None, i + 1
+        pivots.append(int(rng.choice(np.nonzero(available)[0])))
+        oracles.append(mutate(oracles[-1], BitWord(n, pivots[-2]), BitWord(n, pivots[-1])))
+    survivors = np.nonzero(available)[0]
+    choices = survivors[survivors != oracles[-1].values[pivots[-1]]]
+    if len(choices) == 0:
+        return pivots, oracles, None, len(prog.blocks)
+    return pivots, oracles, int(rng.choice(choices)), None
+
+
+class TestAdversaryDrawsAsChoice:
+    """`build_hard_oracle` draws each word as `words[rng.integers(len(words))]`;
+    on this numpy that is the value `rng.choice(words)` draws, leaving the
+    stream in the same place, so every trace is the one drawn with choice."""
+
+    @pytest.mark.parametrize("family", ["random", "truncated-emulation"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_traces_equal_the_choice_reference(self, family, n):
+        outcomes = set()
+        for T in (2, 3):
+            for seed in range(24 if n < 4 else 8):
+                prog = adversary_program(family, n, T, generator(97, family, n * 100 + seed))
+                got_rng, want_rng = (generator(98, family, n * 100 + T * 10 + seed)
+                                     for _ in range(2))
+                trace = build_hard_oracle(prog, T, 1.0, got_rng)
+                pivots, oracles, final, exhausted = chosen_hard_oracle(prog, T, 1.0, want_rng)
+                assert [s.pivot.value for s in trace.steps] == pivots
+                assert [s.oracle for s in trace.steps] == oracles
+                assert trace.exhausted_at == exhausted
+                assert (None if trace.final_value is None else trace.final_value.value) == final
+                assert got_rng.random() == want_rng.random()  # the same draws consumed
+                outcomes.add(trace.succeeded)
+        assert True in outcomes
+
+
 class TestAdversaryChainAgainstQsim:
     """The construction and the bound report step their chains with the
     programs primitive; each value must equal a reference stepped with

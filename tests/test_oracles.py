@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,42 @@ class TestAllOracles:
         assert len({t.values.tobytes() for t in tables}) == 256
 
 
+class TestTrustedTables:
+    """The tables the package builds from values already in range skip the
+    copy and the range check; each must still be a read-only int64 table
+    equal to the checked constructor's.  Tables from outside keep every
+    check (TestMakeOracle, and TestOracleFiles::test_rejects_garbage)."""
+
+    @staticmethod
+    def assert_as_checked(f, n):
+        assert f.values.dtype == np.int64 and f.values.shape == (1 << n,)
+        assert not f.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            f.values[0] = 0
+        checked = OracleTable(n, f.values)
+        assert f == checked and hash(f) == hash(checked) and f.width == n
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_sampled_and_mutated_tables(self, n):
+        for seed in range(5):
+            f = sample_uniform_oracle(n, generator(11, "trusted", seed))
+            self.assert_as_checked(f, n)
+            top = (1 << n) - 1
+            for x, y in [(0, top), (top, 0), (seed & top, (seed + 1) & top)]:
+                g = mutate(f, BitWord(n, x), BitWord(n, y))
+                self.assert_as_checked(g, n)
+                assert g.values is not f.values and not f.values.flags.writeable
+                assert g(BitWord(n, x)) == BitWord(n, y)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_enumerated_table(self, n):
+        tables = list(all_oracles(n))
+        assert len({id(f.values) for f in tables}) == len(tables)  # no shared buffer
+        for f, values in zip(tables, itertools.product(range(1 << n), repeat=1 << n)):
+            self.assert_as_checked(f, n)
+            assert f.values.tolist() == list(values)
+
+
 class TestOracleFiles:
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -275,3 +313,6 @@ class TestOracleFiles:
             oracle_from_text("n=1\n0 1\n")
         with pytest.raises(InputError, match="line 2: rows must be in ascending x order"):
             oracle_from_text("n=1\n1 0\n0 1\n")
+        for value in ("2", "11", "-1"):  # a value that is no width-1 word
+            with pytest.raises(InputError, match="expected two width-1 bit words"):
+                oracle_from_text(f"n=1\n0 0\n1 {value}\n")

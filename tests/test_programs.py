@@ -337,6 +337,35 @@ class TestProgramFiles:
         with pytest.raises(NonUnitaryError):
             program_from_json(text)
 
+    # each of these once left the reader as a plain ValueError or built a
+    # program that failed later, in `read_bits`
+    def test_a_non_integer_output_position_is_an_input_error(self):
+        obj = json.loads(program_to_json(classical_emulation_program(1, 1)))
+        obj["output_region"] = [0.5]
+        with pytest.raises(InputError, match="malformed program file: TypeError"):
+            program_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("target", ["a", 0.5, 1.0, [0]])
+    def test_a_non_integer_target_is_an_input_error(self, target):
+        obj = json.loads(program_to_json(classical_emulation_program(1, 1)))
+        obj["rounds"][0][0]["targets"][0] = target
+        with pytest.raises(InputError, match="malformed program file: TypeError"):
+            program_from_json(json.dumps(obj))
+
+    @pytest.mark.parametrize("entry", [[1, 0, 0], [1], []])
+    def test_a_matrix_entry_that_is_not_a_pair_is_an_input_error(self, entry):
+        obj = json.loads(program_to_json(classical_emulation_program(1, 1)))
+        obj["rounds"][0][0]["matrix"][0] = entry
+        with pytest.raises(InputError, match=re.escape("must be an [re, im] pair")):
+            program_from_json(json.dumps(obj))
+
+    def test_a_bad_qubit_cap_keeps_its_own_message(self, monkeypatch):
+        text = program_to_json(classical_emulation_program(1, 1))
+        monkeypatch.setenv("QQLAB_QUBIT_CAP", "abc")
+        with pytest.raises(InputError, match="QQLAB_QUBIT_CAP must be an integer") as info:
+            program_from_json(text)
+        assert "malformed program file" not in str(info.value)
+
 
 def dense_chain(prog, f, x):
     """Reference chain chi_0..chi_t stepped one block at a time on the full

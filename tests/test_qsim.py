@@ -14,7 +14,7 @@ from qqlab.oracles import BitWord, make_oracle, mutate, sample_uniform_oracle
 from qqlab.qsim import (BasisAssignment, LocalUnitary, QubitLayout, StateVector,
                         apply_local_unitary, apply_query, basis_state, cnot_gate,
                         difference_masses, h_gate, haar_unitary, l2_distance, observe,
-                        oracle_distance, query_mass, query_masses, random_gate,
+                        occupied_words, oracle_distance, query_mass, query_masses, random_gate,
                         readout_distribution, state_dump, x_gate)
 from qqlab.rng import generator
 
@@ -589,6 +589,85 @@ class TestIndexForm:
         for index in (-1, 4):
             with pytest.raises(LayoutMismatchError):
                 StateVector.basic(lay, index)
+
+
+def counted_readers(monkeypatch):
+    """Calls of qsim._support and np.bincount from now on, by name."""
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(qsim, "_support", counting("_support", qsim._support))
+    monkeypatch.setattr(np, "bincount", counting("bincount", np.bincount))
+    return calls
+
+
+class TestIndexFormIsReadOffItsIndex:
+    """The readers take an index-form state's result from its index alone, with
+    the dense path's bits; any other state not held dense goes through one bincount."""
+
+    LAYOUTS = [(0, 1), (1, 1), (0, 2), (1, 2), (2, 2), (0, 3)]
+
+    def test_every_basic_state_of_small_layouts_reads_as_dense(self):
+        for tau, n in self.LAYOUTS:
+            lay = QubitLayout(tau, n)
+            positions = [p for k in range(1, min(3, lay.total) + 1)
+                         for p in itertools.permutations(range(lay.total), k)]
+            positions.append(tuple(range(lay.total)))
+            for index in range(lay.dim):
+                basic = StateVector.basic(lay, index)
+                dense = dense_twin(basic)
+                assert query_masses(basic).tobytes() == query_masses(dense).tobytes()
+                assert occupied_words(basic).tobytes() == occupied_words(dense).tobytes()
+                for a in range(1 << n):
+                    assert (np.float64(query_mass(basic, BitWord(n, a))).tobytes()
+                            == np.float64(query_mass(dense, BitWord(n, a))).tobytes())
+                for pos in positions:
+                    assert (readout_distribution(basic, pos).tobytes()
+                            == readout_distribution(dense, pos).tobytes())
+                for other in range(lay.dim):
+                    got = l2_distance(basic, StateVector.basic(lay, other))
+                    want = l2_distance(dense, dense_twin(StateVector.basic(lay, other)))
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                    assert got == (0.0 if other == index else np.sqrt(2.0))
+
+    def test_no_support_arrays_and_no_bincount_for_the_index_form(self, monkeypatch):
+        lay = QubitLayout(2, 3)
+        v1, v2 = StateVector.basic(lay, 0b10_101_011), StateVector.basic(lay, 0b01_110_001)
+        calls = counted_readers(monkeypatch)
+        for v in (v1, v2):
+            query_masses(v)
+            occupied_words(v)
+            readout_distribution(v, (0, 3, 6))
+            query_mass(v, BitWord(3, 0b101))
+        assert (l2_distance(v1, v2), l2_distance(v1, v1)) == (np.sqrt(2.0), 0.0)
+        assert calls == []
+
+    def test_a_two_index_distance_still_refuses_other_layouts(self):
+        with pytest.raises(LayoutMismatchError):
+            l2_distance(StateVector.basic(QubitLayout(1, 1), 0),
+                        StateVector.basic(QubitLayout(0, 1), 0))
+
+    @pytest.mark.parametrize("angle", [0.3, 1.0, 2.5])
+    def test_a_support_of_one_goes_through_one_bincount(self, angle, monkeypatch):
+        # a phase gate leaves a basic state one nonzero amplitude, held as a support
+        lay = QubitLayout(2, 2)
+        phase = LocalUnitary((3,), np.diag([1.0, np.exp(1j * angle)]))
+        for index in range(lay.dim):
+            state = apply_local_unitary(StateVector.basic(lay, index), phase)
+            assert state.index is None and state._support is not None
+            assert len(state._support[0]) == 1
+            dense = StateVector(lay, state.amplitudes)
+            calls = counted_readers(monkeypatch)
+            masses, readout = query_masses(state), readout_distribution(state, (0, 3, 4))
+            assert calls == ["bincount", "bincount"]
+            monkeypatch.undo()
+            assert masses.tobytes() == query_masses(dense).tobytes()
+            assert readout.tobytes() == readout_distribution(dense, (0, 3, 4)).tobytes()
 
 
 def test_constructor_leaves_the_callers_array_alone():
