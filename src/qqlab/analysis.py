@@ -295,8 +295,7 @@ def adversary_bound_report(prog: QueryProgram, trace: AdversaryTrace,
     if T != trace.T or epsilon != trace.epsilon:
         raise ValueError(f"the trace was built for T = {trace.T}, epsilon = {trace.epsilon}, "
                          f"not T = {T}, epsilon = {epsilon}")
-    alpha = trace.alpha
-    threshold = trace.threshold
+    alpha, threshold = trace.alpha, trace.threshold
     x_t = trace.steps[-1].pivot
     f_final = trace.final_oracle
 

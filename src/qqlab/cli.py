@@ -112,12 +112,9 @@ def _print_summary(report) -> int:
         if key in agg:
             print(f"{key}: {agg[key]}")
     bad = report.violation_rows()
-    if bad:
-        for r in bad[:10]:
-            print(f"VIOLATION {r['context']}: lhs={r['lhs']} rhs={r['rhs']}",
-                  file=sys.stderr)
-        return 1
-    return 0
+    for r in bad[:10]:
+        print(f"VIOLATION {r['context']}: lhs={r['lhs']} rhs={r['rhs']}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 def cli_main(argv=None) -> int:
@@ -138,9 +135,7 @@ def cli_main(argv=None) -> int:
             return 0
 
         if args.command == "iterate":
-            f = load_oracle(args.oracle)
-            x = BitWord.from_string(args.x)
-            print(iterate(f, x, args.k))
+            print(iterate(load_oracle(args.oracle), BitWord.from_string(args.x), args.k))
             return 0
 
         cfg = _config_from_args(args.command, args)

@@ -6,8 +6,9 @@ function giving trial i's inequality rows and a small outcome, plus a
 function turning the outcomes into its aggregates.  Trials are sequential
 and each derives its generators from (master seed, stream, trial index),
 so a report is byte-reproducible from its config alone; wall time goes
-only into the JSON.  The census and montecarlo kinds step the oracles that
-agree on the words a state carries together (`_success_walk`), with each
+only into the JSON.  The census and montecarlo kinds hand `_success_walk`
+plain rows of oracle values (the census's in `all_oracles`' order), and it
+steps the rows that agree on the words a state carries together, with each
 oracle's own bits.  Both report types write a flat CSV (schema frozen
 below) and a nested JSON beside it through one `write`, which refuses a
 CSV path ending in .json; `validate` refuses one before any trial runs.
@@ -35,7 +36,7 @@ import numpy as np
 from .analysis import (TOL, GapReport, _alpha_threshold, adversary_bound_report,
                        build_hard_oracle, lemma1_check, lemma2_check, pigeonhole_mutation_check)
 from .errors import CapExceededError, ConfigError, InputError, WidthMismatchError
-from .oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
+from .oracles import BitWord, OracleTable, _iterates, sample_uniform_oracle
 from .programs import (QueryProgram, classical_emulation_program, initial_state,
                        output_distribution, random_program, refuse_oversize, truncate_after_query)
 from .qsim import QubitLayout, StateVector, apply_round, occupied_words, x_gate
@@ -315,10 +316,7 @@ def run_lemma2_trials(cfg: ExperimentConfig) -> ExperimentReport:
         f = sample_uniform_oracle(cfg.n, rng)
         a = BitWord(cfg.n, int(rng.integers(0, 1 << cfg.n)))
         y = BitWord(cfg.n, int(rng.integers(0, 1 << cfg.n)))
-        if cfg.tau_work >= cfg.n:
-            x = BitWord(cfg.n, int(rng.integers(0, 1 << cfg.n)))
-        else:
-            x = BitWord.zero(cfg.n)
+        x = BitWord(cfg.n, int(rng.integers(0, 1 << cfg.n)) if cfg.tau_work >= cfg.n else 0)
         context = f"hybrid[n={cfg.n},t={t},trial={i}]"
         return [lemma2_check(prog, f, a, y, x, context=context)], None
 
@@ -390,18 +388,23 @@ def run_pigeonhole_trials(cfg: ExperimentConfig) -> ExperimentReport:
     return _sweep(cfg, trial, aggregates)
 
 
-def _success_walk(prog: QueryProgram, oracles, T: int):
-    """`success_probability` of prog on each oracle of an iterator in turn, from
-    the all-zero input to the T-th orbit word of that input, bit for bit: a
-    depth-first walk over each _WALK_CHUNK oracles steps those that agree on every
-    word a state carries (`occupied_words`) together, holding at most t + 1 states."""
-    n, zero = prog.layout.query_width, BitWord.zero(prog.layout.query_width)
+def _success_walk(prog: QueryProgram, rows, T: int):
+    """`success_probability` of prog on each row of oracle values of an iterator,
+    from the all-zero input to its T-th orbit word, bit for bit.  Each _WALK_CHUNK
+    rows are one array, with targets from `_iterates`; a depth-first walk steps
+    those that agree on every word a state carries (`occupied_words`) together,
+    under one member's `OracleTable`, holding at most t + 1 states."""
+    n = prog.layout.query_width
     if len(prog.output_region) != n:  # each target is a word of the query width
         raise WidthMismatchError(f"output region size {len(prog.output_region)} != {n}")
-    root = apply_round(initial_state(prog.layout, zero), None, prog.blocks[0])
-    while chunk := list(itertools.islice(oracles, _WALK_CHUNK)):
-        table = np.stack([f.values for f in chunk])
-        targets = np.array([iterate(f, zero, T).value for f in chunk])
+    if T < 0:
+        raise ValueError("iteration count must be nonnegative")
+    root = apply_round(initial_state(prog.layout, BitWord.zero(n)), None, prog.blocks[0])
+    while chunk := list(itertools.islice(rows, _WALK_CHUNK)):
+        table = np.array(chunk, dtype=np.int64)
+        if table.shape[1] != 1 << n:
+            raise WidthMismatchError(f"rows of {table.shape[1]} values != query width {n}")
+        targets = _iterates(table, 0, T)
         out, path = np.empty(len(chunk)), []  # path: (state, its children's oracle groups)
 
         def visit(state, members):
@@ -419,7 +422,8 @@ def _success_walk(prog: QueryProgram, oracles, T: int):
             if members is None:
                 path.pop()
             else:
-                visit(apply_round(path[-1][0], chunk[members[0]], prog.blocks[len(path)]), members)
+                f = OracleTable(n, table[members[0]])
+                visit(apply_round(path[-1][0], f, prog.blocks[len(path)]), members)
         yield from out.tolist()
 
 
@@ -434,7 +438,7 @@ def run_montecarlo_trials(cfg: ExperimentConfig) -> ExperimentReport:
                          generator(cfg.seed, "montecarlo-prog", 0))
 
     probs = _success_walk(prog, (sample_uniform_oracle(cfg.n, generator(cfg.seed, "montecarlo", i))
-                                 for i in range(cfg.trials)), cfg.T)
+                                 .values for i in range(cfg.trials)), cfg.T)
 
     def trial(i):
         p = next(probs)  # trial i's, as _sweep runs the trials in order
@@ -474,8 +478,7 @@ class CensusReport(_ReportFiles):
         lines = [f"# {CSV_VERSION} kind=census family={self.family} "
                  f"n={self.n} t={self.t} T={self.T}",
                  "oracle_index,success_probability,success"]
-        for i, p in enumerate(self.probabilities):
-            lines.append(f"{i},{p!r},{p >= self.threshold}")
+        lines += (f"{i},{p!r},{p >= self.threshold}" for i, p in enumerate(self.probabilities))
         return "\n".join(lines) + "\n"
 
 
@@ -493,11 +496,9 @@ def exact_census(family, n: int, T: int, t: int | None = None,
     if n > 2 and not allow_large:
         raise CapExceededError(f"census over 2**{n * 2 ** n} oracles needs allow_large=True")
     refuse_oversize(2 ** (n * 2 ** n), 8, "a census of {} oracles")  # 8 B a probability
-    if isinstance(family, QueryProgram):
-        prog, family_name = family, "custom"
-    else:
-        prog, family_name = build_program(family, n, T, t, 0, 0), family
-    probs = list(_success_walk(prog, all_oracles(n), T))
+    prog, family_name = ((family, "custom") if isinstance(family, QueryProgram)
+                         else (build_program(family, n, T, t, 0, 0), family))
+    probs = list(_success_walk(prog, itertools.product(range(1 << n), repeat=1 << n), T))
     return CensusReport(n, prog.query_count, T, family_name, threshold,
                         2 ** (n * 2 ** n), probs)
 

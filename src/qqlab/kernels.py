@@ -18,12 +18,13 @@ Only `apply_query` holds more than two blocks; no kernel keeps anything.
 
 A state with one nonzero amplitude 1 (the index form of
 `qsim.StateVector`) or few (its support: ascending flat indices and their
-amplitudes) need not be held dense.  A 0/1 permutation gate moves either
+amplitudes) need not be held dense.  A 0/1 permutation gate moves an index
 by its `flip_table`, one flat-index XOR per target pattern, exactly as
 `apply_matrix_inplace` moves the amplitudes; `support_query` and
 `support_gate` step a support as `apply_query` and `apply_matrix_inplace`
-step the full array, a dense gate through the same product, so every
-nonzero amplitude gets the same bits.
+step the full array, every gate, permutations too, through the same
+product (a 0/1 matrix times a column is exact), so every nonzero
+amplitude gets the same bits.
 
 Each form reads target bits by one rule: an index or a support's indices
 by `read_bits`, a dense array through `_target_view`.  `_offsets` only
@@ -177,24 +178,21 @@ def support_query(idx: np.ndarray, vals: np.ndarray, n: int,
 
 
 def support_gate(idx: np.ndarray, vals: np.ndarray, bits: tuple[int, ...],
-                 matrix: np.ndarray, nbits: int, flips=None) -> tuple[np.ndarray, np.ndarray]:
+                 matrix: np.ndarray, nbits: int) -> tuple[np.ndarray, np.ndarray]:
     """apply_matrix_inplace on a support (ascending int64 flat indices,
     their nonzero amplitudes) of a state of nbits bits, for a gate on 1-4
     of the bits; returns fresh arrays in the same form.
 
-    Each index's target pattern is read by `read_bits`.  A 0/1 permutation,
-    given by its `flip_table`, XORs each index with the flips of its
-    pattern.  For a dense gate the indices are grouped by their bits off
-    the targets, and each group is scattered into one column of a
-    (2**k, groups) block, absent entries 0; the block's product with the
-    matrix then computes each amplitude from the same operands in the same
-    order as the dense kernel's product on the full array.  An amplitude
-    that comes out exactly 0 is dropped; the full array holds it as +0.0,
-    as the product wrote every zero on OpenBLAS 0.3.31.
+    Each index's target pattern is read by `read_bits`.  The indices are
+    grouped by their bits off the targets, and each group is scattered into
+    one column of a (2**k, groups) block, absent entries 0; the block's
+    product with the matrix then computes each amplitude from the same
+    operands in the same order as the dense kernel's product on the full
+    array, and moves a 0/1 permutation's exactly as its row moves do.  An
+    amplitude that comes out exactly 0 is dropped; the full array holds it
+    as +0.0, as the product wrote every zero on OpenBLAS 0.3.31.
     """
     pattern = read_bits(idx, bits)
-    if flips is not None:
-        return _sorted(idx ^ np.array(flips, dtype=np.int64)[pattern], vals)
     k, offsets = len(bits), _offsets(bits)
     rest = idx & ~int(offsets[-1])  # offsets[-1]: every target bit set
     ordered = np.sort(rest)

@@ -4,7 +4,7 @@ A word of width n is stored as its integer encoding; the first bit of the
 word is the most significant bit of the integer, so the word "110" encodes
 as 6.  An oracle is a total table mapping every one of the 2**n words to a
 word of the same width.  Oracles are immutable; mutation returns a fresh
-table.  `iterate` and `orbit` read one walk, cut at the first repeated word.
+table.  `_iterates` is the one f^k(x) rule; `orbit` walks to the first repeat.
 A set of words, such as `diff_set`'s, is a read-only bool mask over the 2**n words.
 `OracleTable(n, values)`, `make_oracle` and the file readers check every entry;
 the tables this module draws, edits or enumerates from values already in range
@@ -137,23 +137,32 @@ def _walk(f: OracleTable, x: BitWord, length: int) -> tuple[list[int], int | Non
     return walk, first.get(v)
 
 
-def iterate(f: OracleTable, x: BitWord, k: int) -> BitWord:
-    """k-fold application f(f(...f(x))); k = 0 returns x unchanged.
-
-    The walk enters a cycle within 2**n steps, so it stops at the first
-    word it has seen before and reads f^k(x) off the cycle: O(min(k, 2**n))
-    steps for any k."""
+def _iterates(rows: np.ndarray, x: int, k: int) -> np.ndarray:
+    """f^k(x) for each row f of an (m, 2**n) int64 array of values by repeated
+    squaring, O(log k) whole-row steps for any k, each one `np.take` of flat indices."""
     if k < 0:
         raise ValueError("iteration count must be nonnegative")
-    walk, start = _walk(f, x, k + 1)
-    if k >= len(walk):  # the cycle has len(walk) - start words
-        k = start + (k - start) % (len(walk) - start)
-    return BitWord(f.width, walk[k])
+    offsets = np.arange(0, rows.size, rows.shape[1])  # of row i's words: i * 2**n
+    at, power = offsets + x, rows + offsets[:, None]
+    while k:
+        if k & 1:
+            at = np.take(power, at)
+        if k := k >> 1:  # f^(2**(i+1)) from f^(2**i)
+            power = np.take(power, power)
+    return at - offsets
+
+
+def iterate(f: OracleTable, x: BitWord, k: int) -> BitWord:
+    """k-fold application f(f(...f(x))); k = 0 returns x unchanged: one row
+    of `_iterates`, O(log k) whole-table steps for any k."""
+    if x.width != f.width:
+        raise WidthMismatchError(f"word width {x.width} != oracle width {f.width}")
+    return BitWord(f.width, int(_iterates(f.values[None], x.value, k)[0]))
 
 
 def orbit(f: OracleTable, x: BitWord, length: int) -> list[BitWord]:
-    """The chain x, f(x), ..., f^(length-1)(x) as a list; like `iterate`, it walks
-    to the first repeated word, then repeats the cycle's `BitWord` objects."""
+    """The chain x, f(x), ..., f^(length-1)(x) as a list: it walks to the
+    first repeated word, then repeats the cycle's `BitWord` objects."""
     walk, start = _walk(f, x, length)
     out = [BitWord(f.width, v) for v in walk]
     if len(out) < length:

@@ -212,15 +212,14 @@ def _gate_from_obj(obj: dict) -> LocalUnitary:
 
 
 def program_to_json(prog: QueryProgram) -> str:
-    obj = {
+    return json.dumps({
         "format": "qqlab-program-v1",
         "layout": {"work_count": prog.layout.work_count,
                    "query_width": prog.layout.query_width},
         "prelude": [_gate_to_obj(g) for g in prog.prelude],
         "rounds": [[_gate_to_obj(g) for g in rnd] for rnd in prog.rounds],
         "output_region": list(prog.output_region),
-    }
-    return json.dumps(obj, indent=1)
+    }, indent=1)
 
 
 def program_from_json(text: str | bytes) -> QueryProgram:

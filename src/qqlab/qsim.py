@@ -330,7 +330,7 @@ def apply_round(state: StateVector, f: OracleTable | None, block) -> StateVector
                     continue
                 support, index = _support(StateVector.basic(layout, index)), None
             if flips is not None or (len(support[0]) << len(bits)) * SUPPORT_SHARE <= layout.dim:
-                support = kernels.support_gate(*support, bits, gate.matrix, nbits, flips)
+                support = kernels.support_gate(*support, bits, gate.matrix, nbits)
                 continue
             amps, support = _scattered(layout.dim, support), None
         kernels.apply_matrix_inplace(amps, nbits, bits, gate.matrix)
@@ -385,11 +385,10 @@ def occupied_words(state: StateVector) -> np.ndarray:
     under either moves every nonzero amplitude alike, so a round under g
     equals the round under f value for value (only zeros may differ in sign)."""
     n = state.layout.query_width
-    if state.index is not None:
-        return _one_hot(1 << n, state.index & ((1 << n) - 1), bool)
-    if state._support is None:  # one bool per amplitude, no complex temporary
+    if state.index is None and state._support is None:  # dense: no complex temporary
         return (state.amplitudes.reshape(-1, 1 << n) != 0).any(axis=0)
-    return _one_hot(1 << n, state._support[0] & ((1 << n) - 1), bool)
+    at = state.index if state.index is not None else state._support[0]
+    return _one_hot(1 << n, at & ((1 << n) - 1), bool)
 
 
 def query_mass(vector: StateVector, a: BitWord) -> float:

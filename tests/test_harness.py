@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ from qqlab.errors import CapExceededError, ConfigError, InputError, WidthMismatc
 from qqlab.harness import (CSV_SCHEMA, FAMILIES, ExperimentConfig, ExperimentReport,
                            adversary_success_rate, build_program, exact_census,
                            monte_carlo, wilson_interval)
-from qqlab.oracles import BitWord, all_oracles, iterate, sample_uniform_oracle
+from qqlab.oracles import BitWord, OracleTable, all_oracles, iterate, sample_uniform_oracle
 from qqlab.programs import QueryProgram, success_probability
 from qqlab.qsim import QubitLayout, StateVector
 from qqlab.rng import generator
@@ -480,23 +481,77 @@ class TestSuccessWalk:
         assert len(calls) == 49
 
     def test_large_census_draws_its_oracles_a_chunk_at_a_time(self, monkeypatch):
-        drawn = []
-
-        def counted(n, real=harness.all_oracles):
-            for f in real(n):
-                drawn.append(1)
-                yield f
-
-        class Stop(Exception):
-            pass
-
-        def stop(*args):
-            raise Stop
-
-        monkeypatch.setattr(harness, "all_oracles", counted)
+        rows = pulled_rows(monkeypatch)
         monkeypatch.setattr(harness, "_WALK_CHUNK", 64)
         monkeypatch.setattr(harness, "output_distribution", stop)
         # n = 3 has 2**24 oracles; the first final state is read after one chunk
         with pytest.raises(Stop):
             exact_census("classical-emulation", 3, 2, allow_large=True)
-        assert len(drawn) == 64
+        assert len(rows) == 64
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_census_rows_are_the_tables_of_all_oracles_in_order(self, n, monkeypatch):
+        rows = pulled_rows(monkeypatch)
+        if n == 3:  # the first chunk of 4,096 of the 2**24 tables
+            monkeypatch.setattr(harness, "output_distribution", stop)
+            with pytest.raises(Stop):
+                exact_census("classical-emulation", 3, 2, allow_large=True)
+        else:
+            exact_census("classical-emulation", n, 2)
+        want = [f.values for f in itertools.islice(all_oracles(n), len(rows))]
+        assert len(rows) == min(harness._WALK_CHUNK, 2 ** (n * 2 ** n))
+        assert np.array_equal(np.array(rows), np.array(want))
+
+    def test_census_at_a_huge_T_equals_per_oracle_runs_byte_for_byte(self):
+        T = 10 ** 23  # f^T(0) by repeated squaring: T steps would never finish
+        want = np.array(per_oracle(build_program("random", 2, T, 1, 0, 0), all_oracles(2), T))
+        assert np.array(exact_census("random", 2, T, t=1).probabilities).tobytes() == \
+            want.tobytes()
+
+    def test_emulation_census_builds_one_table_per_stepped_group(self, monkeypatch):
+        built, stepped = [], []
+        post, trusted = OracleTable.__post_init__, OracleTable._trusted.__func__
+        monkeypatch.setattr(OracleTable, "__post_init__",
+                            lambda self: built.append(1) or post(self))
+        monkeypatch.setattr(OracleTable, "_trusted",
+                            classmethod(lambda cls, *args: built.append(1) or trusted(cls, *args)))
+
+        def counted(state, f, block, real=harness.apply_round):
+            stepped.append(f is not None)
+            return real(state, f, block)
+
+        monkeypatch.setattr(harness, "apply_round", counted)
+        exact_census("classical-emulation", 2, 3)
+        # one table per oracle would build 256
+        assert len(built) <= sum(stepped) == 48
+
+    def test_a_negative_T_raises_before_any_state_is_stepped(self, monkeypatch):
+        prog = build_program("random", 2, 3, 1, 0, 0)
+        monkeypatch.setattr(harness, "apply_round", stop)
+        with pytest.raises(ValueError, match="nonnegative"):
+            exact_census(prog, 2, -1)
+
+    @pytest.mark.parametrize("rounds", [0, 1])
+    def test_rows_of_another_width_than_the_program_raise(self, rounds):
+        prog = build_program("random", 2, 3, rounds, 0, 0)  # query width 2
+        with pytest.raises(WidthMismatchError, match="query width 2"):
+            exact_census(prog, 1, 3)
+
+
+class Stop(Exception):
+    pass
+
+
+def stop(*args):
+    raise Stop
+
+
+def pulled_rows(monkeypatch) -> list:
+    """The value rows the success walk pulls from its iterator, as it pulls them."""
+    rows = []
+
+    def walk(prog, it, T, real=harness._success_walk):
+        return real(prog, (rows.append(row) or row for row in it), T)
+
+    monkeypatch.setattr(harness, "_success_walk", walk)
+    return rows

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qqlab.errors import InputError, LengthMismatchError, WidthMismatchError
-from qqlab.oracles import (BitWord, OracleTable, all_oracles, diff_set, iterate,
+from qqlab.oracles import (BitWord, OracleTable, _iterates, all_oracles, diff_set, iterate,
                            load_oracle, make_oracle, mutate, oracle_from_text,
                            oracle_to_text, orbit, sample_uniform_oracle, save_oracle)
 from qqlab.rng import generator
@@ -171,6 +171,24 @@ class TestIterate:
                 words = orbit(f, BitWord(f.width, x), length)
                 assert [(v.width, v.value) for v in words] == [(f.width, v)
                                                                for v in walk(f, x, length)]
+
+    def test_batched_rule_equals_the_plain_orbit_walk(self):
+        ks = (0, 1, 2, 3, 7, 2 ** 70 + 5)
+        every = np.array([f.values for f in all_oracles(2)])
+        sampled = generator(13, "iterates", 0).integers(0, 8, size=(4096, 8), dtype=np.int64)
+        for rows, x in [(every, 0), (every, 3), (sampled, 0), (sampled, 5)]:
+            want = []
+            for row in rows.tolist():  # walk to the first repeat, then read off the cycle
+                walk = [x]
+                while walk.count(walk[-1]) == 1:
+                    walk.append(row[walk[-1]])
+                start = walk.index(walk[-1])
+                want.append([walk[k] if k < len(walk) else
+                             walk[start + (k - start) % (len(walk) - 1 - start)] for k in ks])
+            for k, column in zip(ks, np.array(want).T):
+                assert np.array_equal(_iterates(rows, x, k), column), (rows.shape, x, k)
+        with pytest.raises(ValueError, match="nonnegative"):
+            _iterates(every, 0, -1)
 
     def test_huge_counts_reduce_modulo_the_cycle(self):
         k = 10 ** 18
